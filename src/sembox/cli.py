@@ -21,6 +21,7 @@ from .perf_model import (MachineModel, SimConfig, PRESET_SHEETS,
                          order_sweep)
 from .harness import (BubbleConfig, ConfigError, run_bubble, scale_experiment,
                       scale_table, scale_csv)
+from .storage import ENGINE_SCHEMES
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -102,7 +103,7 @@ def _add_bubble_flags(sub):
     sub.add_argument("--order", type=int)
     sub.add_argument("--steps", type=int)
     sub.add_argument("--end-time", dest="end_time", type=float)
-    sub.add_argument("--scheme", choices=("cg", "cg-dg", "dg"))
+    sub.add_argument("--scheme", choices=ENGINE_SCHEMES)
     sub.add_argument("--theta0", type=float)
     sub.add_argument("--theta-pert", dest="theta_pert", type=float)
     sub.add_argument("--radius", type=float)

@@ -7,7 +7,9 @@ the resting reference atmosphere is a machine-exact steady state.
 
 The element kernel works on whole batches of elements (one fused set of
 tensor contractions per batch) and produces J*w-weighted contributions;
-the storage module assembles them into unique grid points.
+the storage module assembles them into unique grid points.  The pressure,
+filter and wall policies serve the serial operators and the partition
+workers alike.
 """
 
 from dataclasses import dataclass
@@ -16,7 +18,7 @@ import numpy as np
 
 from .mesh import MetricTerms, CgNumbering
 from .reference_element import ReferenceElement
-from .storage import (N_VARS, SCHEME_CG, SCHEME_DG, SCHEMES,
+from .storage import (N_VARS, SCHEME_CG, SCHEME_DG, ENGINE_SCHEMES,
                       ReferenceAtmosphere, dss, scatter)
 
 
@@ -156,8 +158,8 @@ def rhs_element_contributions(state_el: np.ndarray, ra_el: np.ndarray,
     """J*w-weighted RHS contribution of every element in the batch.
 
     ``state_el``/``ra_el`` are element views (E, n, n, n, vars).  When the
-    perturbation pressure was already evaluated at unique points (CG and
-    hybrid storage), it is passed in; DG storage evaluates it here, per
+    perturbation pressure was already evaluated at unique points (CG
+    storage), it is passed in; DG storage evaluates it here, per
     duplicated node.  Output = -J*w*(div F - S).
     """
     n = ref.n_nodes
@@ -194,28 +196,39 @@ class Discretization:
     numbering: CgNumbering
 
 
+def element_pressure(state_cg: np.ndarray, gids: np.ndarray, points,
+                     ra: ReferenceAtmosphere, const: GasConstants,
+                     scheme: str) -> np.ndarray | None:
+    """Perturbation pressure at the nodes ``gids`` of an element range.
+
+    CG evaluates it once per unique point in ``points`` (those the range
+    touches, or ``slice(None)``) and gathers; DG returns None, and the
+    kernel evaluates it per duplicated node.
+    """
+    if scheme == SCHEME_DG:
+        return None
+    p_cg = np.zeros(state_cg.shape[0])
+    p_cg[points] = (pressure(state_cg[points, 0], state_cg[points, 4], const)
+                    - ra.pressure[points])
+    return p_cg[gids]
+
+
 def create_rhs(state_cg: np.ndarray, disc: Discretization, const: GasConstants,
                ra: ReferenceAtmosphere, scheme: str = SCHEME_CG) -> np.ndarray:
     """Assembled RHS (CG layout) of the discrete equations, serial path.
 
-    All three storage schemes run the same mathematics; they differ in
-    whether pointwise thermodynamics happens at unique points (CG,
-    hybrid) or per duplicated element node (DG), and where the reference
-    atmosphere is read from.  Results agree to round-off.
+    Both storage schemes run the same mathematics; they differ in whether
+    the pressure is evaluated at unique points (CG) or per duplicated
+    element node (DG).  Results agree to round-off.
     """
-    if scheme not in SCHEMES:
+    if scheme not in ENGINE_SCHEMES:
         raise ValueError(f"unknown storage scheme {scheme!r}")
-    num = disc.numbering
-    ra_el = ra.element_view(num)
-    state_el = scatter(state_cg, num)
-    if scheme == SCHEME_DG:
-        p_prime_el = None  # evaluated per element copy inside the kernel
-    else:
-        p_cg = pressure(state_cg[:, 0], state_cg[:, 4], const) - ra.pressure
-        p_prime_el = p_cg[num.global_ids]
-    contrib = rhs_element_contributions(state_el, ra_el, disc.metrics, disc.ref,
-                                        const, p_prime_el=p_prime_el)
-    return dss(contrib.reshape(contrib.shape[0], -1, N_VARS), num)
+    gids = disc.numbering.global_ids
+    p_el = element_pressure(state_cg, gids, slice(None), ra, const, scheme)
+    contrib = rhs_element_contributions(state_cg[gids], ra.cg[gids],
+                                        disc.metrics, disc.ref, const,
+                                        p_prime_el=p_el)
+    return dss(contrib, disc.numbering)
 
 
 def flux_linearization(q, dq, dp):
@@ -288,14 +301,21 @@ def filter_element(state_el: np.ndarray, ref: ReferenceElement) -> np.ndarray:
     return scratch
 
 
+def filter_contributions(state_cg: np.ndarray, gids: np.ndarray,
+                         jw: np.ndarray, ref: ReferenceElement):
+    """J*w-weighted filtered values of the elements at ``gids``, to be
+    assembled by DSS; None when the filter is off (``filter_mu == 0``)."""
+    if ref.filter_mu == 0.0:
+        return None
+    return filter_element(state_cg[gids], ref) * jw[..., None]
+
+
 def apply_filter(state_cg: np.ndarray, disc: Discretization) -> np.ndarray:
     """Filter each element, then restore continuity by mass-weighted DSS."""
-    if disc.ref.filter_mu == 0.0:
-        return state_cg
     num = disc.numbering
-    filtered = filter_element(scatter(state_cg, num), disc.ref)
-    contrib = filtered * disc.metrics.jw[..., None]
-    return dss(contrib.reshape(contrib.shape[0], -1, N_VARS), num)
+    contrib = filter_contributions(state_cg, num.global_ids, disc.metrics.jw,
+                                   disc.ref)
+    return state_cg if contrib is None else dss(contrib, num)
 
 
 def apply_boundary(state_cg: np.ndarray, numbering: CgNumbering) -> np.ndarray:

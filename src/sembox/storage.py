@@ -15,10 +15,16 @@ produce bit-identical results: a partition accumulates its interior
 nodes color batch by color batch, and contributions at nodes shared
 between partitions are exchanged raw (one value per contributing
 element) and folded positionally in the same global order.
+
+:meth:`PartitionLayout.exchange` is the one partitioned assembly; its
+caller supplies only the transport.  The engine runs the CG and DG
+layouts; the hybrid (``cg-dg``) is priced by the performance model only.
 """
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 import struct
+import threading
 
 import numpy as np
 
@@ -29,7 +35,8 @@ N_VARS = 5
 SCHEME_CG = "cg"
 SCHEME_HYBRID = "cg-dg"
 SCHEME_DG = "dg"
-SCHEMES = (SCHEME_CG, SCHEME_HYBRID, SCHEME_DG)
+SCHEMES = (SCHEME_CG, SCHEME_HYBRID, SCHEME_DG)   # priced by perf_model
+ENGINE_SCHEMES = (SCHEME_CG, SCHEME_DG)          # run by the engine
 
 
 class ProtocolError(RuntimeError):
@@ -47,22 +54,20 @@ def gather_bytes(numbering: CgNumbering, n_elements: int) -> tuple[int, int]:
     return n_elements * nn * N_VARS * 8, numbering.n_unique * N_VARS * 8
 
 
-def dss(contrib: np.ndarray, numbering: CgNumbering,
-        weighted: bool = True) -> np.ndarray:
+def dss(contrib: np.ndarray, numbering: CgNumbering) -> np.ndarray:
     """Serial direct stiffness summation of per-element contributions.
 
     ``contrib`` has DG layout and already carries the J*w weighting, as the
     right-hand-side kernel produces it.  Contributions at a shared point are
     summed in ascending (color, element) order, then multiplied by the
-    inverse mass.  ``weighted=False`` skips the mass division (plain sum).
+    inverse mass.
     """
     nv = contrib.shape[-1]
     acc = np.zeros((numbering.n_unique, nv))
     flat = contrib.reshape(numbering.global_ids.shape[0], -1, nv)
     for batch in numbering.color_batches:
         acc[numbering.global_ids[batch].ravel()] += flat[batch].reshape(-1, nv)
-    if weighted:
-        acc *= numbering.inv_mass[:, None]
+    acc *= numbering.inv_mass[:, None]
     return acc
 
 
@@ -246,32 +251,50 @@ class PartitionLayout:
                 buf = ser if s == t else received[s]
                 acc[tgt] += buf[src]
 
+    def exchange(self, t: int, contrib: np.ndarray, post, wait) -> np.ndarray:
+        """Partition t's assembled CG array, exact at its own points.
+
+        Serialize, ``post`` the halo messages (destination -> array),
+        accumulate own elements while they travel, fold what ``wait()``
+        returns (source -> array), scale by the inverse mass.
+        """
+        ser = self.serialize_shared(t, contrib)
+        post(self.outgoing(t, ser))
+        acc = self.accumulate_own(t, contrib)
+        self.fold_shared(t, acc, ser, wait())
+        own = self.plans[t].own_gids
+        acc[own] *= self.numbering.inv_mass[own, None]
+        return acc
+
 
 def halo_exchange(layout: PartitionLayout,
-                  contribs: list[np.ndarray],
-                  weighted: bool = True) -> list[np.ndarray]:
-    """Assemble per-partition contributions through one exchange round.
+                  contribs: list[np.ndarray]) -> list[np.ndarray]:
+    """In-process transport for :meth:`PartitionLayout.exchange`.
 
-    In-process reference implementation of the worker protocol: every
-    partition accumulates its own elements, posts one message per
-    neighbor, and folds local plus received raw contributions at shared
-    points.  Returns one assembled CG array per partition; all copies of
-    a shared point hold the identical value.
+    One thread per partition; mailboxes are read once all have posted.
+    Returns one assembled CG array per partition; all copies of a shared
+    point hold the identical value.
     """
-    ser = [layout.serialize_shared(t, contribs[t]) for t in range(layout.n_parts)]
-    mail: list[dict[int, np.ndarray]] = [dict() for _ in range(layout.n_parts)]
-    for t in range(layout.n_parts):
-        for u, msg in layout.outgoing(t, ser[t]).items():
-            mail[u][t] = msg
-    results = []
-    for t in range(layout.n_parts):
-        acc = layout.accumulate_own(t, contribs[t])
-        layout.fold_shared(t, acc, ser[t], mail[t])
-        if weighted:
-            own = layout.plans[t].own_gids
-            acc[own] *= layout.numbering.inv_mass[own, None]
-        results.append(acc)
-    return results
+    n = layout.n_parts
+    mail: list[dict[int, np.ndarray]] = [dict() for _ in range(n)]
+    all_posted = threading.Barrier(n)
+
+    def assemble(t):
+        def post(messages):
+            for u, msg in messages.items():
+                mail[u][t] = msg
+            all_posted.wait()
+
+        try:
+            return layout.exchange(t, contribs[t], post, lambda: mail[t])
+        except threading.BrokenBarrierError:
+            return None           # another partition failed; it raises
+        except BaseException:
+            all_posted.abort()    # release the partitions waiting on t
+            raise
+
+    with ThreadPoolExecutor(max_workers=n) as pool:
+        return list(pool.map(assemble, range(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -282,18 +305,15 @@ def halo_exchange(layout: PartitionLayout,
 class ReferenceAtmosphere:
     """Frozen hydrostatic background (rho_bar, p_bar, Theta_bar).
 
-    The storage scheme decides whether the element kernels read these from
-    the unique-point array or from a duplicated per-element copy; both views
-    hold the same numbers, built once from the analytic profile.  ``dp_dz``
-    is the profile's analytic pressure gradient at the nodes, kept so the
+    Held at unique points, built once from the analytic profile; the
+    element kernels read a gathered per-element copy.  ``dp_dz`` is the
+    profile's analytic pressure gradient at the nodes, kept so the
     hydrostatic-balance residual can be audited exactly.
     """
 
     theta0: float
     cg: np.ndarray        # (n_unique, 3)
     dp_dz: np.ndarray     # (n_unique,)
-    scheme: str = SCHEME_CG
-    _dg: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def rho(self) -> np.ndarray:
@@ -306,12 +326,6 @@ class ReferenceAtmosphere:
     @property
     def theta_density(self) -> np.ndarray:
         return self.cg[:, 2]
-
-    def element_view(self, numbering: CgNumbering) -> np.ndarray:
-        """Per-element copy (E, nn, 3); cached, since it never changes."""
-        if self._dg is None:
-            self._dg = self.cg[numbering.global_ids]
-        return self._dg
 
     def hydrostatic_residual(self, gravity: float) -> float:
         """max |dp_bar/dz + rho_bar g| / (rho_bar g) over all nodes."""

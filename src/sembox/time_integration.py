@@ -9,9 +9,10 @@ constructor re-verifies them and refuses schemes that fail.
 
 The step driver owns the synchronization pattern of the whole solver:
 right-hand side (with its exchange) -> state update -> wall projection,
-five times, then the filter (with its own exchange).  The hook for
-column-implicit corrections is a documented no-op: every configuration
-here is fully explicit.
+five times, then the filter (with its own exchange).  Every
+configuration here is fully explicit.  The partition workers in
+``harness`` run the same stage loop with their own phase timing; a test
+pins their result to this one bit for bit.
 """
 
 from dataclasses import dataclass, field
@@ -101,14 +102,12 @@ def forward_euler_scheme() -> RkScheme:
 
 
 def rk_step(state, dt: float, rhs_fn, scheme: RkScheme | None = None,
-            filter_fn=None, boundary_fn=None, imex_fn=None):
+            filter_fn=None, boundary_fn=None):
     """Advance one step: five RHS stages, then the filter pass.
 
     ``rhs_fn(state)`` returns the assembled tendency; ``boundary_fn`` is
     applied to each stage state in place; ``filter_fn(state)`` runs after
-    the stage loop (it performs its own assembly/exchange).  ``imex_fn``
-    is the hook where column-implicit corrections would run; it defaults
-    to the documented no-op because this solver is fully explicit.
+    the stage loop (it performs its own assembly/exchange).
     """
     if scheme is None:
         scheme = DEFAULT_SCHEME
@@ -125,8 +124,6 @@ def rk_step(state, dt: float, rhs_fn, scheme: RkScheme | None = None,
             boundary_fn(new)
         stages.append(new)
     out = stages[-1]
-    if imex_fn is not None:
-        out = imex_fn(out)
     if filter_fn is not None:
         out = filter_fn(out)
     return out

@@ -133,6 +133,14 @@ class TestRunCommand:
                                "--radius", "900")
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("command", ["run", "scale"])
+    def test_hybrid_scheme_is_model_only(self, capsys, command):
+        # the engine runs cg and dg; cg-dg exists only in the cost model
+        code, _, _ = run_cli(capsys, command, "--nx", "2", "--ny", "2",
+                             "--layers", "2", "--steps", "1",
+                             "--scheme", "cg-dg")
+        assert code == EXIT_CONFIG
+
     def test_diverged_run_exits_3(self, capsys):
         code, out, _ = run_cli(capsys, "run", "--nx", "2", "--ny", "2",
                                "--layers", "2", "--steps", "40",

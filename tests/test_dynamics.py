@@ -3,7 +3,7 @@ import pytest
 import sympy as sp
 
 from sembox.reference_element import legendre
-from sembox.storage import N_VARS, SCHEME_CG, SCHEME_DG, SCHEME_HYBRID, scatter
+from sembox.storage import N_VARS, SCHEME_CG, SCHEME_DG, scatter
 from sembox.dynamics import (
     create_rhs_linearization,
     DivergedStateError, GasConstants, StateValidityError,
@@ -180,7 +180,7 @@ class TestCreateRhs:
             scale = max(1.0, np.abs(expect).max())
             assert np.abs(rhs[:, v] - expect).max() < 1e-10 * scale
 
-    @pytest.mark.parametrize("scheme", [SCHEME_CG, SCHEME_HYBRID, SCHEME_DG])
+    @pytest.mark.parametrize("scheme", [SCHEME_CG, SCHEME_DG])
     @pytest.mark.parametrize("seed", [7, 11, 23])
     def test_scheme_equivalence(self, disc222, scheme, seed):
         disc, cfg = disc222

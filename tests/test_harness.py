@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from sembox.dynamics import GasConstants
+from sembox.dynamics import (GasConstants, apply_boundary, apply_filter,
+                             create_rhs)
 from sembox.harness import (
     BubbleConfig, ConfigError, build_discretization, init_bubble, run_bubble,
     scale_csv, scale_experiment, scale_table, strong_scaling_efficiency,
 )
 from sembox.storage import read_snapshot
+from sembox.time_integration import TimestepControl, compute_dt, rk_step
 
 CONST = GasConstants()
 
@@ -157,6 +159,38 @@ class TestRunBubble:
         assert report.est_flops > 0.0
         assert report.est_flop_rate > 0.0
         assert "model-estimated" in report.summary()
+
+
+class TestSerialEquivalence:
+    """The partition workers step exactly as ``rk_step`` over the serial
+    operators does, with the filter on and off."""
+
+    @pytest.mark.parametrize("n_partitions", [1, 2])
+    @pytest.mark.parametrize("filter_mu", [BubbleConfig().filter_mu, 0.0])
+    @pytest.mark.parametrize("scheme", ["cg", "dg"])
+    def test_run_bubble_equals_rk_step_loop(self, scheme, filter_mu,
+                                             n_partitions):
+        cfg = BubbleConfig(nx=2, ny=2, layers=2, n_steps=3, scheme=scheme,
+                           filter_mu=filter_mu)
+        _, final = run_bubble(cfg, n_partitions=n_partitions)
+
+        disc = build_discretization(cfg)
+        state0, ra = init_bubble(cfg, disc, CONST)
+        control = TimestepControl(courant_h=cfg.courant_h,
+                                  courant_v=cfg.courant_v,
+                                  n_steps=cfg.n_steps)
+        dt = compute_dt(state0, disc, CONST, control)
+
+        def walls(s):
+            return apply_boundary(s, disc.numbering)
+
+        state = walls(state0.copy())
+        for _ in range(cfg.n_steps):
+            state = rk_step(state, dt,
+                            lambda s: create_rhs(s, disc, CONST, ra, scheme),
+                            filter_fn=lambda s: walls(apply_filter(s, disc)),
+                            boundary_fn=walls)
+        assert np.array_equal(final, state)
 
 
 class TestDivergence:

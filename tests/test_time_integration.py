@@ -81,11 +81,11 @@ class TestRkStep:
         assert len(calls) == DEFAULT_SCHEME.stages
 
     def test_filter_and_imex_hooks(self):
+        # the filter runs once, after the stage loop
         order = []
-        out = rk_step(1.0, 0.1, lambda s: 0.0,
-                      imex_fn=lambda s: (order.append("imex"), s)[1],
+        out = rk_step(1.0, 0.1, lambda s: (order.append("rhs"), 0.0)[1],
                       filter_fn=lambda s: (order.append("filter"), s)[1])
-        assert order == ["imex", "filter"]
+        assert order == ["rhs"] * DEFAULT_SCHEME.stages + ["filter"]
         assert out == 1.0
 
 
