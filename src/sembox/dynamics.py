@@ -196,20 +196,19 @@ class Discretization:
     numbering: CgNumbering
 
 
-def element_pressure(state_cg: np.ndarray, gids: np.ndarray, points,
+def element_pressure(state_cg: np.ndarray, gids: np.ndarray,
                      ra: ReferenceAtmosphere, const: GasConstants,
                      scheme: str) -> np.ndarray | None:
     """Perturbation pressure at the nodes ``gids`` of an element range.
 
-    CG evaluates it once per unique point in ``points`` (those the range
-    touches, or ``slice(None)``) and gathers; DG returns None, and the
-    kernel evaluates it per duplicated node.
+    ``state_cg`` and ``ra`` hold the points the range touches (the whole
+    mesh, or a partition's local points), so CG evaluates the pressure
+    once per row and gathers; DG returns None, and the kernel evaluates
+    it per duplicated node.
     """
     if scheme == SCHEME_DG:
         return None
-    p_cg = np.zeros(state_cg.shape[0])
-    p_cg[points] = (pressure(state_cg[points, 0], state_cg[points, 4], const)
-                    - ra.pressure[points])
+    p_cg = pressure(state_cg[:, 0], state_cg[:, 4], const) - ra.pressure
     return p_cg[gids]
 
 
@@ -224,7 +223,7 @@ def create_rhs(state_cg: np.ndarray, disc: Discretization, const: GasConstants,
     if scheme not in ENGINE_SCHEMES:
         raise ValueError(f"unknown storage scheme {scheme!r}")
     gids = disc.numbering.global_ids
-    p_el = element_pressure(state_cg, gids, slice(None), ra, const, scheme)
+    p_el = element_pressure(state_cg, gids, ra, const, scheme)
     contrib = rhs_element_contributions(state_cg[gids], ra.cg[gids],
                                         disc.metrics, disc.ref, const,
                                         p_prime_el=p_el)

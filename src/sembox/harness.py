@@ -5,11 +5,14 @@ the Courant-limited timestep, then march stages of
 right-hand-side -> exchange/assemble -> update -> wall projection, with
 the low-pass filter (and its own exchange) closing each step.  Every
 partition runs in its own worker (a thread when there are several) and
-the only cross-worker data are the halo messages.  A worker keeps only
-its transport, phase timing and stage loop; pressure, filter, walls and
-the exchange sequence are the serial operators' own code
-(``dynamics``, ``PartitionLayout.exchange``), so any worker count gives
-``rk_step`` over ``create_rhs`` bit for bit.
+the only cross-worker data are the halo messages.  A worker holds its
+state, stages and diagnostics only at the points its partition touches,
+in the partition's local numbering, and keeps only its transport, phase
+timing and stage loop; pressure, filter, walls and the exchange sequence
+are the serial operators' own code (``dynamics``,
+``PartitionLayout.exchange``) run on those local arrays, so any worker
+count gives ``rk_step`` over ``create_rhs`` bit for bit.  A fault in any
+worker aborts its neighbours and is raised by ``run_bubble``.
 """
 
 from dataclasses import dataclass
@@ -265,7 +268,8 @@ class _AbortedByNeighbor(RuntimeError):
 
 
 class _Worker:
-    """One partition's full time loop; communicates only through channels."""
+    """One partition's full time loop on partition-local arrays;
+    communicates only through channels."""
 
     def __init__(self, part_id: int, layout: PartitionLayout,
                  disc: Discretization, const: GasConstants,
@@ -273,25 +277,29 @@ class _Worker:
                  channels: _Channels, dt: float, n_steps: int):
         self.t = part_id
         self.layout = layout
-        self.disc = disc
+        self.ref = disc.ref
         self.const = const
-        self.ra = ra
         self.config = config
         self.ch = channels
         self.dt = dt
         self.n_steps = n_steps
-        plan = layout.plans[part_id]
-        self.plan = plan
-        self.elems = slice(plan.elem_start, plan.elem_stop)
-        self.gids = disc.numbering.global_ids[self.elems]
-        n = disc.ref.n_nodes
-        self.metrics_view = _metric_slice(disc.metrics, self.elems)
-        self.ws = RhsWorkspace.create(plan.elem_stop - plan.elem_start, n)
+        self.plan = plan = layout.plans[part_id]
+        self.num = plan.numbering
+        if self.num is not disc.numbering:     # T=1 copies no background
+            own = plan.own_gids
+            ra = ReferenceAtmosphere(ra.theta0, ra.cg[own], ra.dp_dz[own])
+        self.ra = ra
+        self.gids = self.num.global_ids
+        self.metrics_view = _metric_slice(
+            disc.metrics, slice(plan.elem_start, plan.elem_stop))
+        self.ws = RhsWorkspace.create(len(self.gids), disc.ref.n_nodes)
         self.ra_el = ra.cg[self.gids]
         self.phase_counter = 0
         self.pending = {}
         self.phase_seconds = {ph: 0.0 for ph in PHASES}
         self.timing = False
+        self.loop_seconds = 0.0
+        self.failed_step: int | None = None
         self.failed: Exception | None = None
 
     # -- messaging ---------------------------------------------------------
@@ -330,10 +338,10 @@ class _Worker:
 
     def _rhs(self, state):
         t0 = time.perf_counter()
-        p_el = element_pressure(state, self.gids, self.plan.own_gids, self.ra,
-                                self.const, self.config.scheme)
+        p_el = element_pressure(state, self.gids, self.ra, self.const,
+                                self.config.scheme)
         contrib = rhs_element_contributions(
-            state[self.gids], self.ra_el, self.metrics_view, self.disc.ref,
+            state[self.gids], self.ra_el, self.metrics_view, self.ref,
             self.const, ws=self.ws, p_prime_el=p_el)
         self._time("create_rhs", t0)
         return self._exchange(contrib)
@@ -341,22 +349,22 @@ class _Worker:
     def _filter(self, state):
         t0 = time.perf_counter()
         contrib = filter_contributions(state, self.gids, self.metrics_view.jw,
-                                       self.disc.ref)
+                                       self.ref)
         self._time("filter", t0)
         if contrib is None:
             return state
-        return apply_boundary(self._exchange(contrib), self.disc.numbering)
+        return apply_boundary(self._exchange(contrib), self.num)
 
     # -- the loop ------------------------------------------------------------
 
     def run(self, state0):
         scheme = DEFAULT_SCHEME
-        state = apply_boundary(state0.copy(), self.disc.numbering)
-        self.ch.diag.put((0, self.t, _diag_partials(
-            state, self.ra, self.disc.numbering, self.diag_nodes)))
-        self.loop_seconds = 0.0
-        self.failed_step = None
+        step = 0
+        state = state0[self.plan.own_gids]
         try:
+            apply_boundary(state, self.num)
+            self.ch.diag.put((0, self.t, _diag_partials(
+                state, self.ra, self.num, self.diag_nodes)))
             for step in range(1, self.n_steps + 1):
                 self.timing = step > self.config.warmup_steps
                 step_t0 = time.perf_counter()
@@ -370,23 +378,25 @@ class _Worker:
                         term = a * stages[j]
                         new = term if new is None else new + term
                     new += (self.dt * bt) * f
-                    apply_boundary(new, self.disc.numbering)
+                    apply_boundary(new, self.num)
                     self._time("update", t0)
                     stages.append(new)
                 state = self._filter(stages[-1])
                 if self.timing:
                     self.loop_seconds += time.perf_counter() - step_t0
                 self.ch.diag.put((step, self.t, _diag_partials(
-                    state, self.ra, self.disc.numbering, self.diag_nodes)))
+                    state, self.ra, self.num, self.diag_nodes)))
                 every = self.config.snapshot_every
                 if every and step % every == 0:
                     self.ch.snapshots.put((step, self.t, state[self.diag_nodes]))
-        except (DivergedStateError, StateValidityError) as exc:
-            self.failed = exc
-            self.failed_step = step
-            self.ch.abort(self.t)
         except _AbortedByNeighbor:
             self.failed_step = step
+        except Exception as exc:
+            self.ch.abort(self.t)
+            # what BaseException.add_note does, also on Python 3.10
+            exc.__notes__ = [*getattr(exc, "__notes__", []),
+                             f"partition {self.t}, step {step}"]
+            self.failed, self.failed_step = exc, step
         self.final_state = state
 
 
@@ -432,15 +442,16 @@ def run_bubble(config: BubbleConfig, n_partitions: int = 1,
     layout = PartitionLayout(disc.mesh, disc.numbering, parts)
     channels = _Channels(n_partitions)
 
-    # node ownership for diagnostics: lowest-id partition touching a node
-    owner_node = np.full(disc.numbering.n_unique, -1, dtype=np.int64)
+    # diagnostics and output: each point from the lowest-id partition
+    # touching it, as local ids (diag_nodes) and global ids (owned)
+    owner_node = np.empty(disc.numbering.n_unique, dtype=np.int64)
     for t in range(n_partitions - 1, -1, -1):
         owner_node[layout.plans[t].own_gids] = t
     workers = []
     for part in parts:
         w = _Worker(part.part_id, layout, disc, const, ra, config, channels,
                     dt, n_steps)
-        w.diag_nodes = np.flatnonzero(owner_node == part.part_id)
+        w.diag_nodes = np.flatnonzero(owner_node[w.plan.own_gids] == part.part_id)
         workers.append(w)
 
     wall0 = time.perf_counter()
@@ -454,6 +465,10 @@ def run_bubble(config: BubbleConfig, n_partitions: int = 1,
         for th in threads:
             th.join()
     wall = time.perf_counter() - wall0
+    for w in workers:   # physics failures end in the report, faults raise
+        if w.failed is not None and not isinstance(
+                w.failed, (DivergedStateError, StateValidityError)):
+            raise w.failed
 
     failed_step = min((w.failed_step for w in workers
                        if w.failed_step is not None), default=None)
@@ -469,10 +484,10 @@ def run_bubble(config: BubbleConfig, n_partitions: int = 1,
             ordered = [raw[step][t] for t in range(n_partitions)]
             diags.append(_reduce_diags(ordered, step, step * dt))
 
-    final = np.zeros_like(state0)
-    for t, w in enumerate(workers):
-        sel = np.flatnonzero(owner_node == t)
-        final[sel] = w.final_state[sel]
+    owned = [w.plan.own_gids[w.diag_nodes] for w in workers]
+    final = np.empty_like(state0)
+    for w, gids in zip(workers, owned):
+        final[gids] = w.final_state[w.diag_nodes]
 
     # breakdown of the critical-path worker, so phases sum to <= total
     slowest = max(workers, key=lambda w: w.loop_seconds)
@@ -500,8 +515,7 @@ def run_bubble(config: BubbleConfig, n_partitions: int = 1,
         snaps: dict[int, np.ndarray] = {}
         while not channels.snapshots.empty():
             step, t, piece = channels.snapshots.get_nowait()
-            snap = snaps.setdefault(step, np.zeros_like(state0))
-            snap[np.flatnonzero(owner_node == t)] = piece
+            snaps.setdefault(step, np.zeros_like(state0))[owned[t]] = piece
         for step, snap in sorted(snaps.items()):
             write_snapshot(os.path.join(out_dir, f"state_{step:06d}.bin"),
                            snap, config.order, layout="cg")

@@ -10,6 +10,7 @@ uniform layer counts.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 import time
 
 import numpy as np
@@ -241,7 +242,9 @@ class CgNumbering:
     (element index * p + local index), so no geometric snap tolerance is
     involved.  ``color_batches`` groups elements into eight parity classes
     such that no two elements of a class share a grid point; batch order
-    is the canonical summation order of the assembly.
+    is the canonical summation order of the assembly.  ``lattice_dims``
+    describes the whole mesh; a partition's numbering (:meth:`restrict`)
+    keeps it, so there ``n_unique`` is smaller than its product.
     """
 
     order: int
@@ -258,6 +261,36 @@ class CgNumbering:
     @property
     def n_node_per_elem(self) -> int:
         return (self.order + 1) ** 3
+
+    @cached_property
+    def batch_targets(self) -> list:
+        """Flattened point ids of each color batch's nodes."""
+        return [self.global_ids[b].ravel() for b in self.color_batches]
+
+    def restrict(self, start: int, stop: int):
+        """Numbering of the points elements [start, stop) touch.
+
+        Returns (local numbering, global id of each local point).  Local
+        ids follow ascending global order; element ids, color batches and
+        boundary ids are local, and mass and coordinates are the global
+        ones at those points.  ``lattice_dims`` stays the whole mesh's.
+        The whole mesh returns ``self``.
+        """
+        if start == 0 and stop == self.global_ids.shape[0]:
+            return self, np.arange(self.n_unique)
+        own, local = np.unique(self.global_ids[start:stop], return_inverse=True)
+        return CgNumbering(
+            order=self.order, lattice_dims=self.lattice_dims,
+            n_unique=own.size,
+            global_ids=local.reshape(stop - start, -1),
+            mass=self.mass[own], inv_mass=self.inv_mass[own],
+            node_coords=self.node_coords[own],
+            elem_color=self.elem_color[start:stop],
+            color_batches=[b[(b >= start) & (b < stop)] - start
+                           for b in self.color_batches],
+            boundary_ids={axis: np.flatnonzero(np.isin(own, ids))
+                          for axis, ids in self.boundary_ids.items()},
+        ), own
 
 
 def build_cg_numbering(mesh: ColumnMesh, ref: ReferenceElement,
@@ -349,10 +382,6 @@ class Partition:
     @property
     def n_elements(self) -> int:
         return self.elem_stop - self.elem_start
-
-    @property
-    def elements(self) -> np.ndarray:
-        return np.arange(self.elem_start, self.elem_stop)
 
 
 def partition_columns(mesh: ColumnMesh, n_parts: int) -> list[Partition]:

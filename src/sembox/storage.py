@@ -11,14 +11,18 @@ Assembly (DSS) sums the weighted per-element contributions at every
 grid point and multiplies by the inverse of the diagonal mass matrix.
 The summation follows one canonical order everywhere -- ascending
 (element color, element id) -- so runs with different partition counts
-produce bit-identical results: a partition accumulates its interior
-nodes color batch by color batch, and contributions at nodes shared
-between partitions are exchanged raw (one value per contributing
-element) and folded positionally in the same global order.
+produce bit-identical results: a partition accumulates its elements
+color batch by color batch, as serial assembly does over the whole
+mesh, and contributions at nodes shared between partitions are
+exchanged raw (one value per contributing element) and folded
+positionally in the same global order.
 
 :meth:`PartitionLayout.exchange` is the one partitioned assembly; its
-caller supplies only the transport.  The engine runs the CG and DG
-layouts; the hybrid (``cg-dg``) is priced by the performance model only.
+caller supplies only the transport.  It returns partition-local arrays:
+one row per point the partition's elements touch, in ascending global
+order (``plans[t].own_gids``); one partition is the whole mesh.  The
+engine runs the CG and DG layouts; the hybrid (``cg-dg``) is priced by
+the performance model only.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -54,6 +58,16 @@ def gather_bytes(numbering: CgNumbering, n_elements: int) -> tuple[int, int]:
     return n_elements * nn * N_VARS * 8, numbering.n_unique * N_VARS * 8
 
 
+def _accumulate(contrib: np.ndarray, numbering: CgNumbering) -> np.ndarray:
+    """Color-batch sum of per-element contributions at each point."""
+    nv = contrib.shape[-1]
+    acc = np.zeros((numbering.n_unique, nv))
+    flat = contrib.reshape(numbering.global_ids.shape[0], -1, nv)
+    for batch, tgt in zip(numbering.color_batches, numbering.batch_targets):
+        acc[tgt] += flat[batch].reshape(-1, nv)
+    return acc
+
+
 def dss(contrib: np.ndarray, numbering: CgNumbering) -> np.ndarray:
     """Serial direct stiffness summation of per-element contributions.
 
@@ -62,11 +76,7 @@ def dss(contrib: np.ndarray, numbering: CgNumbering) -> np.ndarray:
     summed in ascending (color, element) order, then multiplied by the
     inverse mass.
     """
-    nv = contrib.shape[-1]
-    acc = np.zeros((numbering.n_unique, nv))
-    flat = contrib.reshape(numbering.global_ids.shape[0], -1, nv)
-    for batch in numbering.color_batches:
-        acc[numbering.global_ids[batch].ravel()] += flat[batch].reshape(-1, nv)
+    acc = _accumulate(contrib, numbering)
     acc *= numbering.inv_mass[:, None]
     return acc
 
@@ -81,22 +91,23 @@ class _PartPlan:
 
     elem_start: int
     elem_stop: int
-    color_batches: list            # local element indices per color
-    batch_gids: list               # flattened target gids per color batch
-    own_gids: np.ndarray           # sorted gids this partition touches
-    shared_gids: np.ndarray        # subset also touched by other partitions
+    numbering: CgNumbering         # of the points the partition touches
+    own_gids: np.ndarray           # global id of each local point
+    shared: np.ndarray             # local ids also touched by other partitions
     ser_elem: np.ndarray           # serialization: local element index
     ser_slot: np.ndarray           # serialization: node slot within element
     msg_send: dict = field(default_factory=dict)   # u -> index into serialization
     msg_len_recv: dict = field(default_factory=dict)  # u -> expected entries
     fold_steps: list = field(default_factory=list)
-    # fold_steps[r] = list of (source_partition, target_gids, source_indices)
+    # fold_steps[r] = list of (source_partition, target local ids, source indices)
 
 
 class PartitionLayout:
     """Everything static that partitioned assembly needs, built once.
 
-    The serialization of a partition's contributions at shared points is
+    Each partition numbers the points its elements touch locally
+    (:meth:`CgNumbering.restrict`); its arrays hold only those rows.  The
+    serialization of a partition's contributions at shared points is
     ordered by (gid, color, element); a halo message to a neighbor is a
     sub-slice of that serialization, so send and receive sides agree on
     the layout by construction.  The fold plan replays the global
@@ -106,24 +117,18 @@ class PartitionLayout:
 
     def __init__(self, mesh: ColumnMesh, numbering: CgNumbering,
                  parts: list[Partition]):
-        self.mesh = mesh
-        self.numbering = numbering
-        self.parts = parts
         self.n_parts = len(parts)
         gids = numbering.global_ids
-        n_elem, nn = gids.shape
 
-        owner_elem = np.empty(n_elem, dtype=np.int64)
+        owner_elem = np.empty(gids.shape[0], dtype=np.int64)
         for part in parts:
             owner_elem[part.elem_start:part.elem_stop] = part.part_id
-        self.owner_elem = owner_elem
 
-        touched = []
-        for part in parts:
-            touched.append(np.unique(gids[part.elem_start:part.elem_stop]))
+        local = [numbering.restrict(part.elem_start, part.elem_stop)
+                 for part in parts]
         touch_count = np.zeros(numbering.n_unique, dtype=np.int32)
-        for tg in touched:
-            touch_count[tg] += 1
+        for _, own in local:
+            touch_count[own] += 1
         is_shared = touch_count >= 2
 
         # all raw contributions at shared points, in canonical global order
@@ -134,8 +139,8 @@ class PartitionLayout:
         e_all, slot_all, g_all = e_all[key], slot_all[key], g_all[key]
         own_all = owner_elem[e_all]
         # rank of each contribution within its grid point's list
-        uniq, start_idx, counts = np.unique(g_all, return_index=True,
-                                            return_counts=True)
+        _, start_idx, counts = np.unique(g_all, return_index=True,
+                                         return_counts=True)
         pos_all = np.arange(g_all.size) - np.repeat(start_idx, counts)
         max_pos = int(counts.max()) if counts.size else 0
 
@@ -147,26 +152,15 @@ class PartitionLayout:
             ser_rank[ser_of[t]] = np.arange(ser_of[t].size)
 
         self.plans: list[_PartPlan] = []
-        for part in parts:
-            t = part.part_id
-            local = np.arange(part.elem_start, part.elem_stop)
-            batches = []
-            batch_gids = []
-            for batch in numbering.color_batches:
-                sel = batch[(batch >= part.elem_start) & (batch < part.elem_stop)]
-                batches.append(sel - part.elem_start)
-                batch_gids.append(gids[sel].ravel())
-            own = touched[t]
-            shared = own[is_shared[own]]
-            mine = ser_of[t]
-            plan = _PartPlan(
+        for part, (num, own) in zip(parts, local):
+            mine = ser_of[part.part_id]
+            self.plans.append(_PartPlan(
                 elem_start=part.elem_start, elem_stop=part.elem_stop,
-                color_batches=batches, batch_gids=batch_gids,
-                own_gids=own, shared_gids=shared,
+                numbering=num, own_gids=own,
+                shared=np.flatnonzero(is_shared[own]),
                 ser_elem=e_all[mine] - part.elem_start,
                 ser_slot=slot_all[mine],
-            )
-            self.plans.append(plan)
+            ))
 
         # messages: t sends the entries of its serialization whose gid is
         # also touched by u; both sides can derive the same slice
@@ -184,7 +178,7 @@ class PartitionLayout:
         # points, reading from its own serialization or received messages
         for t in range(self.n_parts):
             plan = self.plans[t]
-            relevant = np.flatnonzero(np.isin(g_all, plan.shared_gids))
+            relevant = np.flatnonzero(np.isin(g_all, plan.own_gids[plan.shared]))
             steps = []
             for r in range(max_pos):
                 at_r = relevant[pos_all[relevant] == r]
@@ -202,25 +196,17 @@ class PartitionLayout:
                         if not np.array_equal(msg[src], ser_rank[ent]):
                             raise ProtocolError(
                                 f"exchange plan {s}->{t} missing entries")
-                    per_source.append((s, g_all[ent], src))
+                    per_source.append(
+                        (s, np.searchsorted(plan.own_gids, g_all[ent]), src))
                 if per_source:
                     steps.append(per_source)
             plan.fold_steps = steps
 
     # -- runtime pieces ----------------------------------------------------
 
-    def accumulate_own(self, t: int, contrib: np.ndarray,
-                       out: np.ndarray | None = None) -> np.ndarray:
+    def accumulate_own(self, t: int, contrib: np.ndarray) -> np.ndarray:
         """Color-batch accumulation of partition t's contributions."""
-        plan = self.plans[t]
-        nv = contrib.shape[-1]
-        if out is None:
-            out = np.zeros((self.numbering.n_unique, nv))
-        flat = contrib.reshape(plan.elem_stop - plan.elem_start, -1, nv)
-        for batch, gids in zip(plan.color_batches, plan.batch_gids):
-            if batch.size:
-                out[gids] += flat[batch].reshape(-1, nv)
-        return out
+        return _accumulate(contrib, self.plans[t].numbering)
 
     def serialize_shared(self, t: int, contrib: np.ndarray) -> np.ndarray:
         """Raw contributions of partition t at shared points, canonical order."""
@@ -243,16 +229,14 @@ class PartitionLayout:
                 raise ProtocolError(
                     f"partition {t}: message from {u} has "
                     f"{None if got is None else got.shape[0]} entries, expected {expect}")
-        if plan.shared_gids.size == 0:
-            return
-        acc[plan.shared_gids] = 0.0
+        acc[plan.shared] = 0.0
         for per_source in plan.fold_steps:
             for s, tgt, src in per_source:
                 buf = ser if s == t else received[s]
                 acc[tgt] += buf[src]
 
     def exchange(self, t: int, contrib: np.ndarray, post, wait) -> np.ndarray:
-        """Partition t's assembled CG array, exact at its own points.
+        """Partition t's assembled array, one row per local point.
 
         Serialize, ``post`` the halo messages (destination -> array),
         accumulate own elements while they travel, fold what ``wait()``
@@ -262,8 +246,7 @@ class PartitionLayout:
         post(self.outgoing(t, ser))
         acc = self.accumulate_own(t, contrib)
         self.fold_shared(t, acc, ser, wait())
-        own = self.plans[t].own_gids
-        acc[own] *= self.numbering.inv_mass[own, None]
+        acc *= self.plans[t].numbering.inv_mass[:, None]
         return acc
 
 
@@ -272,8 +255,9 @@ def halo_exchange(layout: PartitionLayout,
     """In-process transport for :meth:`PartitionLayout.exchange`.
 
     One thread per partition; mailboxes are read once all have posted.
-    Returns one assembled CG array per partition; all copies of a shared
-    point hold the identical value.
+    Returns one assembled array per partition, with a row for each of its
+    local points (``plans[t].own_gids``); all copies of a shared point
+    hold the identical value.
     """
     n = layout.n_parts
     mail: list[dict[int, np.ndarray]] = [dict() for _ in range(n)]

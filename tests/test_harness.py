@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -11,6 +15,7 @@ from sembox.storage import read_snapshot
 from sembox.time_integration import TimestepControl, compute_dt, rk_step
 
 CONST = GasConstants()
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # small configuration shared by the functional tests
 SMALL = dict(nx=4, ny=4, layers=4, n_steps=4)
@@ -163,9 +168,10 @@ class TestRunBubble:
 
 class TestSerialEquivalence:
     """The partition workers step exactly as ``rk_step`` over the serial
-    operators does, with the filter on and off."""
+    operators does, with the filter on and off.  At four partitions every
+    column of the 2x2 mesh is its own partition."""
 
-    @pytest.mark.parametrize("n_partitions", [1, 2])
+    @pytest.mark.parametrize("n_partitions", [1, 2, 4])
     @pytest.mark.parametrize("filter_mu", [BubbleConfig().filter_mu, 0.0])
     @pytest.mark.parametrize("scheme", ["cg", "dg"])
     def test_run_bubble_equals_rk_step_loop(self, scheme, filter_mu,
@@ -208,6 +214,43 @@ class TestDivergence:
                            courant_h=40.0, courant_v=40.0)
         report, _ = run_bubble(cfg, n_partitions=4)
         assert report.failed_step is not None
+
+
+# Run in a subprocess: a worker fault that is not contained hangs the run,
+# and the timeout turns that into a failure instead of a stuck suite.
+FAULT_SCRIPT = """
+import sys
+from sembox import harness
+
+real = harness.filter_contributions
+
+def faulty(*args):
+    if sys._getframe(1).f_locals["self"].t == {target}:
+        raise KeyError("injected")
+    return real(*args)
+
+harness.filter_contributions = faulty
+try:
+    harness.run_bubble(harness.BubbleConfig(nx=2, ny=2, layers=2, n_steps=3),
+                       n_partitions={n_partitions})
+except KeyError as exc:
+    print("raised", exc.__notes__)
+"""
+
+
+class TestWorkerFaults:
+    @pytest.mark.parametrize("n_partitions,target", [(1, 0), (2, 1), (4, 1),
+                                                     (4, 3)])
+    def test_fault_is_raised_with_its_partition(self, n_partitions, target):
+        src = os.path.join(ROOT, "src")
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ,
+                   PYTHONPATH=src if not path else os.pathsep.join([src, path]))
+        script = FAULT_SCRIPT.format(target=target, n_partitions=n_partitions)
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert f"raised ['partition {target}, step 1']" in proc.stdout
 
 
 class TestSnapshots:

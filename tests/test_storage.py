@@ -104,7 +104,17 @@ class TestPartitionedAssembly:
                                       for p in parts])
         for t, part in enumerate(parts):
             own = layout.plans[t].own_gids
-            assert np.array_equal(outs[t][own], serial[own])
+            assert np.array_equal(outs[t], serial[own])
+
+    @pytest.mark.parametrize("n_parts", [1, 2, 4])
+    def test_outputs_hold_local_points_only(self, setup443, n_parts):
+        _, mesh, _, num = setup443
+        parts = partition_columns(mesh, n_parts)
+        layout = PartitionLayout(mesh, num, parts)
+        outs = halo_exchange(layout, [np.ones((p.n_elements, 64, N_VARS))
+                                      for p in parts])
+        for t, out in enumerate(outs):
+            assert out.shape == (layout.plans[t].own_gids.size, N_VARS)
 
     def test_shared_values_identical_across_owners(self, setup443):
         ref, mesh, metrics, num = setup443
@@ -114,16 +124,19 @@ class TestPartitionedAssembly:
         layout = PartitionLayout(mesh, num, parts)
         outs = halo_exchange(layout, [contrib[p.elem_start:p.elem_stop]
                                       for p in parts])
+        plans = layout.plans
         for t in range(4):
             for u in range(t + 1, 4):
-                common = np.intersect1d(layout.plans[t].shared_gids,
-                                        layout.plans[u].shared_gids)
-                assert np.array_equal(outs[t][common], outs[u][common])
+                common = np.intersect1d(plans[t].own_gids[plans[t].shared],
+                                        plans[u].own_gids[plans[u].shared])
+                at_t = np.searchsorted(plans[t].own_gids, common)
+                at_u = np.searchsorted(plans[u].own_gids, common)
+                assert np.array_equal(outs[t][at_t], outs[u][at_u])
 
     def test_single_partition_no_messages(self, setup443):
         _, mesh, _, num = setup443
         layout = PartitionLayout(mesh, num, partition_columns(mesh, 1))
-        assert layout.plans[0].shared_gids.size == 0
+        assert layout.plans[0].shared.size == 0
         assert layout.plans[0].msg_send == {}
 
     def test_halo_symmetry(self, setup443):
@@ -151,6 +164,29 @@ class TestPartitionedAssembly:
         bad = {1: np.zeros((3, N_VARS))}
         with pytest.raises(ProtocolError):
             layout.fold_shared(0, acc, ser, bad)
+
+
+class TestRestrict:
+    def test_whole_mesh_is_the_same_numbering(self, setup443):
+        _, mesh, _, num = setup443
+        local, own = num.restrict(0, mesh.n_elements)
+        assert local is num
+        assert np.array_equal(own, np.arange(num.n_unique))
+
+    @pytest.mark.parametrize("n_parts", [2, 4])
+    def test_local_arrays_are_global_ones_at_own_gids(self, setup443, n_parts):
+        _, mesh, _, num = setup443
+        for part in partition_columns(mesh, n_parts):
+            local, own = num.restrict(part.elem_start, part.elem_stop)
+            assert np.all(np.diff(own) > 0)
+            assert local.n_unique == own.size
+            assert np.array_equal(own[local.global_ids],
+                                  num.global_ids[part.elem_start:part.elem_stop])
+            assert np.array_equal(local.mass, num.mass[own])
+            assert np.array_equal(local.node_coords, num.node_coords[own])
+            for axis, ids in num.boundary_ids.items():
+                assert np.array_equal(own[local.boundary_ids[axis]],
+                                      np.intersect1d(ids, own))
 
 
 class TestMemoryAccounting:
