@@ -182,6 +182,9 @@ def cmd_run(args) -> int:
     out = args.out
     if args.snapshot and out is None:
         out = "sembox_out"
+    if cfg.snapshot_every and out is None:
+        raise ConfigError("a snapshot cadence needs an output directory: "
+                          "pass --out DIR or --snapshot")
     report, _ = run_bubble(cfg, n_partitions=args.parts, out_dir=out)
     print(report.summary())
     return EXIT_DIVERGED if report.failed_step is not None else EXIT_OK

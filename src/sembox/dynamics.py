@@ -19,7 +19,7 @@ import numpy as np
 from .mesh import MetricTerms, CgNumbering
 from .reference_element import ReferenceElement
 from .storage import (N_VARS, SCHEME_CG, SCHEME_DG, ENGINE_SCHEMES,
-                      ReferenceAtmosphere, dss, scatter)
+                      ReferenceAtmosphere, dss)
 
 
 class StateValidityError(ValueError):
@@ -228,58 +228,6 @@ def create_rhs(state_cg: np.ndarray, disc: Discretization, const: GasConstants,
                                         disc.metrics, disc.ref, const,
                                         p_prime_el=p_el)
     return dss(contrib, disc.numbering)
-
-
-def flux_linearization(q, dq, dp):
-    """Directional derivative of :func:`flux` at q along dq.
-
-    ``dp`` is the pressure variation matching dq (the background is
-    frozen, so the perturbation-pressure variation equals it).
-    """
-    q = np.asarray(q, dtype=float)
-    dq = np.asarray(dq, dtype=float)
-    rho = q[..., 0:1]
-    mom = q[..., 1:4]
-    u = mom / rho
-    dm = dq[..., 1:4]
-    du = (dm - u * dq[..., 0:1]) / rho
-    dF = np.empty(q.shape + (3,))
-    dF[..., 0, :] = dm
-    dF[..., 1:4, :] = (dm[..., :, None] * u[..., None, :]
-                       + mom[..., :, None] * du[..., None, :])
-    for d in range(3):
-        dF[..., 1 + d, d] += dp
-    dF[..., 4, :] = dq[..., 4:5] * u + q[..., 4:5] * du
-    return dF
-
-
-def create_rhs_linearization(state_cg: np.ndarray, delta_cg: np.ndarray,
-                             disc: "Discretization", const: GasConstants,
-                             ra: ReferenceAtmosphere) -> np.ndarray:
-    """Jacobian-vector product of :func:`create_rhs` at ``state_cg``.
-
-    The discrete operator is linear in the flux tensor and the source, so
-    the exact directional derivative is one more divergence pass over the
-    linearized flux, with dP = gamma P / Theta * dTheta from the state
-    equation.
-    """
-    num = disc.numbering
-    P = pressure(state_cg[:, 0], state_cg[:, 4], const)
-    dp_cg = const.gamma * P / state_cg[:, 4] * delta_cg[:, 4]
-    state_el = scatter(state_cg, num)
-    delta_el = scatter(delta_cg, num)
-    n = disc.ref.n_nodes
-    E = num.global_ids.shape[0]
-    ws = RhsWorkspace.create(E, n)
-    shape = (E, n, n, n)
-    dF = flux_linearization(state_el.reshape(shape + (N_VARS,)),
-                            delta_el.reshape(shape + (N_VARS,)),
-                            dp_cg[num.global_ids].reshape(shape))
-    np.copyto(ws.flux, dF)
-    div = _flux_divergence(ws, disc.metrics, disc.ref)
-    div[..., 3] += delta_el.reshape(shape + (N_VARS,))[..., 0] * const.gravity
-    contrib = div * -disc.metrics.jw[..., None]
-    return dss(contrib.reshape(E, -1, N_VARS), num)
 
 
 def filter_element(state_el: np.ndarray, ref: ReferenceElement) -> np.ndarray:

@@ -5,19 +5,20 @@ the Courant-limited timestep, then march stages of
 right-hand-side -> exchange/assemble -> update -> wall projection, with
 the low-pass filter (and its own exchange) closing each step.  Every
 partition runs in its own worker (a thread when there are several) and
-the only cross-worker data are the halo messages.  A worker holds its
-state, stages and diagnostics only at the points its partition touches,
-in the partition's local numbering, and keeps only its transport, phase
-timing and stage loop; pressure, filter, walls and the exchange sequence
-are the serial operators' own code (``dynamics``,
+the only cross-worker data are the halo messages, which travel through
+``storage.Mailboxes``, the transport ``halo_exchange`` uses too.  A
+worker holds its state, stages and diagnostics only at the points its
+partition touches, in the partition's local numbering, and keeps only
+its phase timing and stage loop; pressure, filter, walls and the
+exchange sequence are the serial operators' own code (``dynamics``,
 ``PartitionLayout.exchange``) run on those local arrays, so any worker
-count gives ``rk_step`` over ``create_rhs`` bit for bit.  A fault in any
-worker aborts its neighbours and is raised by ``run_bubble``.
+count gives ``rk_step`` over ``create_rhs`` bit for bit.  A worker that
+stops aborts its mailboxes, which stops the neighbours waiting on it in
+turn; a fault is raised by ``run_bubble``.
 """
 
 from dataclasses import dataclass
 import os
-import queue
 import threading
 import time
 
@@ -26,8 +27,9 @@ import numpy as np
 from .reference_element import ReferenceElement
 from .mesh import (MetricTerms, build_box_mesh, compute_metrics,
                    build_cg_numbering, partition_columns)
-from .storage import (N_VARS, SCHEME_CG, ENGINE_SCHEMES, PartitionLayout,
-                      ReferenceAtmosphere, write_snapshot)
+from .storage import (N_VARS, SCHEME_CG, ENGINE_SCHEMES, Mailboxes,
+                      NeighborStopped, PartitionLayout, ReferenceAtmosphere,
+                      write_snapshot)
 from .dynamics import (Discretization, GasConstants, RhsWorkspace,
                        DivergedStateError, StateValidityError, apply_boundary,
                        element_pressure, filter_contributions,
@@ -69,6 +71,13 @@ class BubbleConfig:
             raise ConfigError("background potential temperature must be positive")
         if self.scheme not in ENGINE_SCHEMES:
             raise ConfigError(f"unknown storage scheme {self.scheme!r}")
+        if self.radius <= 0.0:
+            raise ConfigError("bubble radius must be positive")
+        for name in ("n_steps", "snapshot_every", "warmup_steps"):
+            if (getattr(self, name) or 0) < 0:
+                raise ConfigError(f"{name} must not be negative")
+        if self.end_time is not None and self.end_time <= 0.0:
+            raise ConfigError("end_time must be positive")
         for c, L, name in zip(self.center, self.extents, "xyz"):
             if c - self.radius < 0.0 or c + self.radius > L:
                 raise ConfigError(
@@ -140,7 +149,7 @@ PHASES = ("create_rhs", "dss_comm", "filter", "update")
 
 
 def _diag_partials(state, ra, numbering, node_sel):
-    """Mass/extrema partial sums over one owner's node subset."""
+    """Mass/extrema partial sums over one partition's owned points."""
     q = state[node_sel]
     M = numbering.mass[node_sel]
     theta_p = q[:, 4] / q[:, 0] - ra.theta0
@@ -245,42 +254,22 @@ def strong_scaling_efficiency(t_base: float, n_base: int, t: float, n: int) -> f
 # Partition worker
 # ---------------------------------------------------------------------------
 
-class _Channels:
-    """Point-to-point queues between workers plus collector sinks."""
-
-    def __init__(self, n):
-        self.inbox = [queue.Queue() for _ in range(n)]
-        self.diag = queue.Queue()
-        self.snapshots = queue.Queue()
-
-    def send(self, dest, phase, source, payload):
-        self.inbox[dest].put((phase, source, payload))
-
-    def abort(self, source):
-        # unblock every neighbor; sentinels cascade until all workers stop
-        for dest, box in enumerate(self.inbox):
-            if dest != source:
-                box.put((-1, source, None))
-
-
-class _AbortedByNeighbor(RuntimeError):
-    pass
-
-
 class _Worker:
     """One partition's full time loop on partition-local arrays;
-    communicates only through channels."""
+    communicates only through the mailboxes.  Diagnostic partials and
+    snapshot pieces of the points the partition owns collect in
+    ``diags`` and ``snapshots``, read by the driver after the join."""
 
     def __init__(self, part_id: int, layout: PartitionLayout,
                  disc: Discretization, const: GasConstants,
                  ra: ReferenceAtmosphere, config: BubbleConfig,
-                 channels: _Channels, dt: float, n_steps: int):
+                 mail: Mailboxes, dt: float, n_steps: int):
         self.t = part_id
         self.layout = layout
         self.ref = disc.ref
         self.const = const
         self.config = config
-        self.ch = channels
+        self.mail = mail
         self.dt = dt
         self.n_steps = n_steps
         self.plan = plan = layout.plans[part_id]
@@ -294,39 +283,17 @@ class _Worker:
             disc.metrics, slice(plan.elem_start, plan.elem_stop))
         self.ws = RhsWorkspace.create(len(self.gids), disc.ref.n_nodes)
         self.ra_el = ra.cg[self.gids]
-        self.phase_counter = 0
-        self.pending = {}
+        self.diags = []
+        self.snapshots = []
         self.phase_seconds = {ph: 0.0 for ph in PHASES}
         self.timing = False
         self.loop_seconds = 0.0
         self.failed_step: int | None = None
         self.failed: Exception | None = None
 
-    # -- messaging ---------------------------------------------------------
-
-    def _post(self, messages):
-        for dest, msg in messages.items():
-            self.ch.send(dest, self.phase_counter, self.t, msg)
-
-    def _receive(self):
-        """Block until every neighbor's message of this exchange is in."""
-        phase = self.phase_counter
-        received = self.pending.pop(phase, {})
-        expected = set(self.plan.msg_len_recv)
-        while expected - set(received):
-            ph, src, payload = self.ch.inbox[self.t].get()
-            if payload is None:
-                raise _AbortedByNeighbor(f"partition {src} stopped")
-            if ph == phase:
-                received[src] = payload
-            else:
-                self.pending.setdefault(ph, {})[src] = payload
-        return received
-
     def _exchange(self, contrib):
         t0 = time.perf_counter()
-        out = self.layout.exchange(self.t, contrib, self._post, self._receive)
-        self.phase_counter += 1
+        out = self.layout.exchange(self.t, contrib, self.mail)
         self._time("dss_comm", t0)
         return out
 
@@ -361,10 +328,10 @@ class _Worker:
         scheme = DEFAULT_SCHEME
         step = 0
         state = state0[self.plan.own_gids]
+        owned = self.plan.owned
         try:
             apply_boundary(state, self.num)
-            self.ch.diag.put((0, self.t, _diag_partials(
-                state, self.ra, self.num, self.diag_nodes)))
+            self.diags.append(_diag_partials(state, self.ra, self.num, owned))
             for step in range(1, self.n_steps + 1):
                 self.timing = step > self.config.warmup_steps
                 step_t0 = time.perf_counter()
@@ -384,19 +351,19 @@ class _Worker:
                 state = self._filter(stages[-1])
                 if self.timing:
                     self.loop_seconds += time.perf_counter() - step_t0
-                self.ch.diag.put((step, self.t, _diag_partials(
-                    state, self.ra, self.num, self.diag_nodes)))
+                self.diags.append(_diag_partials(state, self.ra, self.num,
+                                                 owned))
                 every = self.config.snapshot_every
                 if every and step % every == 0:
-                    self.ch.snapshots.put((step, self.t, state[self.diag_nodes]))
-        except _AbortedByNeighbor:
-            self.failed_step = step
+                    self.snapshots.append((step, state[owned]))
         except Exception as exc:
-            self.ch.abort(self.t)
-            # what BaseException.add_note does, also on Python 3.10
-            exc.__notes__ = [*getattr(exc, "__notes__", []),
-                             f"partition {self.t}, step {step}"]
-            self.failed, self.failed_step = exc, step
+            self.mail.abort(self.t)     # release the neighbours waiting on t
+            self.failed_step = step
+            if not isinstance(exc, NeighborStopped):
+                # what BaseException.add_note does, also on Python 3.10
+                exc.__notes__ = [*getattr(exc, "__notes__", []),
+                                 f"partition {self.t}, step {step}"]
+                self.failed = exc
         self.final_state = state
 
 
@@ -440,19 +407,9 @@ def run_bubble(config: BubbleConfig, n_partitions: int = 1,
 
     parts = partition_columns(disc.mesh, n_partitions)
     layout = PartitionLayout(disc.mesh, disc.numbering, parts)
-    channels = _Channels(n_partitions)
-
-    # diagnostics and output: each point from the lowest-id partition
-    # touching it, as local ids (diag_nodes) and global ids (owned)
-    owner_node = np.empty(disc.numbering.n_unique, dtype=np.int64)
-    for t in range(n_partitions - 1, -1, -1):
-        owner_node[layout.plans[t].own_gids] = t
-    workers = []
-    for part in parts:
-        w = _Worker(part.part_id, layout, disc, const, ra, config, channels,
-                    dt, n_steps)
-        w.diag_nodes = np.flatnonzero(owner_node[w.plan.own_gids] == part.part_id)
-        workers.append(w)
+    mail = Mailboxes(layout)
+    workers = [_Worker(part.part_id, layout, disc, const, ra, config, mail,
+                       dt, n_steps) for part in parts]
 
     wall0 = time.perf_counter()
     if n_partitions == 1:
@@ -473,21 +430,15 @@ def run_bubble(config: BubbleConfig, n_partitions: int = 1,
     failed_step = min((w.failed_step for w in workers
                        if w.failed_step is not None), default=None)
 
-    # diagnostics: reduce partials in partition order, step by step
-    raw: dict[int, dict[int, dict]] = {}
-    while not channels.diag.empty():
-        step, t, partial = channels.diag.get_nowait()
-        raw.setdefault(step, {})[t] = partial
-    diags = []
-    for step in sorted(raw):
-        if len(raw[step]) == n_partitions:
-            ordered = [raw[step][t] for t in range(n_partitions)]
-            diags.append(_reduce_diags(ordered, step, step * dt))
+    # diagnostics: reduce partials in partition order, step by step,
+    # over the steps every worker finished
+    diags = [_reduce_diags([w.diags[step] for w in workers], step, step * dt)
+             for step in range(min(len(w.diags) for w in workers))]
 
-    owned = [w.plan.own_gids[w.diag_nodes] for w in workers]
+    owned = [w.plan.own_gids[w.plan.owned] for w in workers]
     final = np.empty_like(state0)
     for w, gids in zip(workers, owned):
-        final[gids] = w.final_state[w.diag_nodes]
+        final[gids] = w.final_state[w.plan.owned]
 
     # breakdown of the critical-path worker, so phases sum to <= total
     slowest = max(workers, key=lambda w: w.loop_seconds)
@@ -513,9 +464,9 @@ def run_bubble(config: BubbleConfig, n_partitions: int = 1,
                        config.order, layout="cg")
         _write_theta_csv(os.path.join(out_dir, "theta.csv"), final, ra, disc)
         snaps: dict[int, np.ndarray] = {}
-        while not channels.snapshots.empty():
-            step, t, piece = channels.snapshots.get_nowait()
-            snaps.setdefault(step, np.zeros_like(state0))[owned[t]] = piece
+        for w, gids in zip(workers, owned):
+            for step, piece in w.snapshots:
+                snaps.setdefault(step, np.zeros_like(state0))[gids] = piece
         for step, snap in sorted(snaps.items()):
             write_snapshot(os.path.join(out_dir, f"state_{step:06d}.bin"),
                            snap, config.order, layout="cg")

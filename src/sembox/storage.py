@@ -17,18 +17,20 @@ mesh, and contributions at nodes shared between partitions are
 exchanged raw (one value per contributing element) and folded
 positionally in the same global order.
 
-:meth:`PartitionLayout.exchange` is the one partitioned assembly; its
-caller supplies only the transport.  It returns partition-local arrays:
-one row per point the partition's elements touch, in ascending global
-order (``plans[t].own_gids``); one partition is the whole mesh.  The
+:meth:`PartitionLayout.exchange` is the one partitioned assembly, and
+:class:`Mailboxes` its one in-process transport (one FIFO per sending
+pair), used by the run's workers and by :func:`halo_exchange` alike.
+It returns partition-local arrays: one row per point the partition's
+elements touch, in ascending global order (``plans[t].own_gids``); one
+partition is the whole mesh.  The
 engine runs the CG and DG layouts; the hybrid (``cg-dg``) is priced by
 the performance model only.
 """
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+import queue
 import struct
-import threading
 
 import numpy as np
 
@@ -93,6 +95,7 @@ class _PartPlan:
     elem_stop: int
     numbering: CgNumbering         # of the points the partition touches
     own_gids: np.ndarray           # global id of each local point
+    owned: np.ndarray              # local ids no lower partition touches
     shared: np.ndarray             # local ids also touched by other partitions
     ser_elem: np.ndarray           # serialization: local element index
     ser_slot: np.ndarray           # serialization: node slot within element
@@ -127,7 +130,9 @@ class PartitionLayout:
         local = [numbering.restrict(part.elem_start, part.elem_stop)
                  for part in parts]
         touch_count = np.zeros(numbering.n_unique, dtype=np.int32)
+        owned = []
         for _, own in local:
+            owned.append(np.flatnonzero(touch_count[own] == 0))
             touch_count[own] += 1
         is_shared = touch_count >= 2
 
@@ -152,11 +157,11 @@ class PartitionLayout:
             ser_rank[ser_of[t]] = np.arange(ser_of[t].size)
 
         self.plans: list[_PartPlan] = []
-        for part, (num, own) in zip(parts, local):
+        for part, (num, own), first in zip(parts, local, owned):
             mine = ser_of[part.part_id]
             self.plans.append(_PartPlan(
                 elem_start=part.elem_start, elem_stop=part.elem_stop,
-                numbering=num, own_gids=own,
+                numbering=num, own_gids=own, owned=first,
                 shared=np.flatnonzero(is_shared[own]),
                 ser_elem=e_all[mine] - part.elem_start,
                 ser_slot=slot_all[mine],
@@ -235,50 +240,78 @@ class PartitionLayout:
                 buf = ser if s == t else received[s]
                 acc[tgt] += buf[src]
 
-    def exchange(self, t: int, contrib: np.ndarray, post, wait) -> np.ndarray:
+    def exchange(self, t: int, contrib: np.ndarray,
+                 mail: "Mailboxes") -> np.ndarray:
         """Partition t's assembled array, one row per local point.
 
-        Serialize, ``post`` the halo messages (destination -> array),
-        accumulate own elements while they travel, fold what ``wait()``
-        returns (source -> array), scale by the inverse mass.
+        Serialize, post the halo messages, accumulate own elements while
+        they travel, fold what arrives, scale by the inverse mass.
         """
         ser = self.serialize_shared(t, contrib)
-        post(self.outgoing(t, ser))
+        mail.post(t, self.outgoing(t, ser))
         acc = self.accumulate_own(t, contrib)
-        self.fold_shared(t, acc, ser, wait())
+        self.fold_shared(t, acc, ser, mail.wait(t))
         acc *= self.plans[t].numbering.inv_mass[:, None]
         return acc
 
 
+class NeighborStopped(RuntimeError):
+    """A partition this one waits on stopped before posting."""
+
+
+class Mailboxes:
+    """In-process transport: one FIFO per sending pair of partitions.
+
+    Every partition runs the same sequence of exchanges, so the n-th
+    message on a pair belongs to the n-th exchange.  A partition that
+    stops for any reason calls :meth:`abort`; the neighbours waiting on
+    it raise :class:`NeighborStopped`, stop and abort in turn.
+    """
+
+    def __init__(self, layout: PartitionLayout):
+        self.plans = layout.plans
+        self.fifo = {(t, u): queue.SimpleQueue()
+                     for t, plan in enumerate(self.plans) for u in plan.msg_send}
+
+    def post(self, t: int, messages: dict[int, np.ndarray]) -> None:
+        for u, msg in messages.items():
+            self.fifo[t, u].put(msg)
+
+    def wait(self, t: int) -> dict[int, np.ndarray]:
+        """Block until every neighbour's message to t is in."""
+        received = {}
+        for s in self.plans[t].msg_len_recv:
+            received[s] = self.fifo[s, t].get()
+            if received[s] is None:
+                raise NeighborStopped(f"partition {s} stopped")
+        return received
+
+    def abort(self, t: int) -> None:
+        for u in self.plans[t].msg_send:
+            self.fifo[t, u].put(None)
+
+
 def halo_exchange(layout: PartitionLayout,
                   contribs: list[np.ndarray]) -> list[np.ndarray]:
-    """In-process transport for :meth:`PartitionLayout.exchange`.
+    """One :meth:`PartitionLayout.exchange` per partition, one thread each.
 
-    One thread per partition; mailboxes are read once all have posted.
     Returns one assembled array per partition, with a row for each of its
     local points (``plans[t].own_gids``); all copies of a shared point
     hold the identical value.
     """
-    n = layout.n_parts
-    mail: list[dict[int, np.ndarray]] = [dict() for _ in range(n)]
-    all_posted = threading.Barrier(n)
+    mail = Mailboxes(layout)
 
     def assemble(t):
-        def post(messages):
-            for u, msg in messages.items():
-                mail[u][t] = msg
-            all_posted.wait()
-
         try:
-            return layout.exchange(t, contribs[t], post, lambda: mail[t])
-        except threading.BrokenBarrierError:
-            return None           # another partition failed; it raises
-        except BaseException:
-            all_posted.abort()    # release the partitions waiting on t
+            return layout.exchange(t, contribs[t], mail)
+        except BaseException as exc:
+            mail.abort(t)
+            if isinstance(exc, NeighborStopped):
+                return None       # the partition that stopped first raises
             raise
 
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(assemble, range(n)))
+    with ThreadPoolExecutor(max_workers=layout.n_parts) as pool:
+        return list(pool.map(assemble, range(layout.n_parts)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,13 @@
+import os
+import subprocess
+import sys
+
+import pytest
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
+
+
 def pytest_runtest_logreport(report):
     # one visible verdict line per acceptance criterion
     if report.when == "call" and "test_acceptance" in report.nodeid:
@@ -5,3 +15,19 @@ def pytest_runtest_logreport(report):
         verdict = {"passed": "PASS", "failed": "FAIL", "skipped": "SKIP"}.get(
             report.outcome, report.outcome.upper())
         print(f"\nACCEPTANCE {verdict}: {name}", flush=True)
+
+
+@pytest.fixture
+def run_python():
+    """Run a script in a fresh interpreter that imports this ``sembox``.
+
+    A fault that is not contained hangs a threaded run; the liveness
+    timeout turns that into a failure instead of a stuck suite.
+    """
+    def run(script):
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ,
+                   PYTHONPATH=SRC if not path else os.pathsep.join([SRC, path]))
+        return subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+    return run

@@ -133,6 +133,31 @@ class TestRunCommand:
                                "--radius", "900")
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--steps", "-3"), ("--end-time", "-1"), ("--snapshot-every", "-2"),
+        ("--radius", "-5")])
+    def test_out_of_range_run_control_exits_2(self, capsys, tmp_path, flag,
+                                              value):
+        code, _, err = run_cli(capsys, "run", "--nx", "2", "--ny", "2",
+                               "--layers", "2", "--out", str(tmp_path),
+                               flag, value)
+        assert code == EXIT_CONFIG
+        assert "error" in err
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_snapshot_cadence_needs_out_dir(self, capsys, tmp_path, source):
+        argv = ["run", "--nx", "2", "--ny", "2", "--layers", "2",
+                "--steps", "2"]
+        if source == "flag":
+            argv += ["--snapshot-every", "1"]
+        else:
+            cfg = tmp_path / "bubble.cfg"
+            cfg.write_text("snapshot_every = 1\n")
+            argv += ["--config", str(cfg)]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == EXIT_CONFIG
+        assert "--out" in err
+
     @pytest.mark.parametrize("command", ["run", "scale"])
     def test_hybrid_scheme_is_model_only(self, capsys, command):
         # the engine runs cg and dg; cg-dg exists only in the cost model

@@ -5,7 +5,6 @@ import sympy as sp
 from sembox.reference_element import legendre
 from sembox.storage import N_VARS, SCHEME_CG, SCHEME_DG, scatter
 from sembox.dynamics import (
-    create_rhs_linearization,
     DivergedStateError, GasConstants, StateValidityError,
     apply_boundary, apply_filter, create_rhs, flux, local_derivative, pressure,
     total_mass,
@@ -203,24 +202,6 @@ class TestCreateRhs:
         with pytest.raises(DivergedStateError) as err:
             create_rhs(state, disc, CONST, ra)
         assert err.value.element == 3
-
-    def test_linearization_matches_finite_difference(self, disc222):
-        # the analytic Jacobian-vector product against a central difference
-        # with step 1e-6 (relative), tolerance 1e-5 relative
-        disc, cfg = disc222
-        state, ra = init_bubble(cfg, disc, CONST)
-        rng = np.random.default_rng(12)
-        state = state.copy()
-        state[:, 1:4] += 0.2 * rng.standard_normal((state.shape[0], 3))
-        delta = rng.standard_normal(state.shape)
-        delta *= np.abs(state).max(axis=0) / np.abs(delta).max(axis=0)
-        h = 1e-6
-
-        exact = create_rhs_linearization(state, delta, disc, CONST, ra)
-        fd = (create_rhs(state + h * delta, disc, CONST, ra)
-              - create_rhs(state - h * delta, disc, CONST, ra)) / (2 * h)
-        scale = np.abs(exact).max()
-        assert np.abs(fd - exact).max() < 1e-5 * scale
 
     def test_mass_conservation_diagnostic(self):
         cfg = BubbleConfig(nx=4, ny=4, layers=4)

@@ -1,7 +1,3 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -15,7 +11,6 @@ from sembox.storage import read_snapshot
 from sembox.time_integration import TimestepControl, compute_dt, rk_step
 
 CONST = GasConstants()
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # small configuration shared by the functional tests
 SMALL = dict(nx=4, ny=4, layers=4, n_steps=4)
@@ -44,6 +39,14 @@ class TestBubbleConfig:
     def test_positive_background(self):
         with pytest.raises(ConfigError):
             BubbleConfig(theta0=-10.0).validate()
+
+    @pytest.mark.parametrize("field,value", [
+        ("n_steps", -1), ("end_time", 0.0), ("end_time", -1.0),
+        ("snapshot_every", -2), ("warmup_steps", -1), ("radius", 0.0),
+        ("radius", -5.0)])
+    def test_rejects_out_of_range_run_control(self, field, value):
+        with pytest.raises(ConfigError):
+            BubbleConfig(**{field: value}).validate()
 
 
 class TestInitBubble:
@@ -215,9 +218,18 @@ class TestDivergence:
         report, _ = run_bubble(cfg, n_partitions=4)
         assert report.failed_step is not None
 
+    @pytest.mark.parametrize("n_partitions", [1, 2, 4])
+    def test_diagnostics_stop_before_failed_step(self, n_partitions):
+        # every step before the failure has diagnostics from all workers
+        cfg = BubbleConfig(nx=2, ny=2, layers=2, n_steps=40,
+                           courant_h=2.0, courant_v=2.0)
+        report, _ = run_bubble(cfg, n_partitions=n_partitions)
+        assert report.failed_step is not None
+        assert ([d["step"] for d in report.diagnostics]
+                == list(range(report.failed_step)))
 
-# Run in a subprocess: a worker fault that is not contained hangs the run,
-# and the timeout turns that into a failure instead of a stuck suite.
+
+# run in a subprocess by the run_python fixture (conftest.py)
 FAULT_SCRIPT = """
 import sys
 from sembox import harness
@@ -231,7 +243,8 @@ def faulty(*args):
 
 harness.filter_contributions = faulty
 try:
-    harness.run_bubble(harness.BubbleConfig(nx=2, ny=2, layers=2, n_steps=3),
+    harness.run_bubble(harness.BubbleConfig(nx={side}, ny={side}, layers=2,
+                                            n_steps=3),
                        n_partitions={n_partitions})
 except KeyError as exc:
     print("raised", exc.__notes__)
@@ -241,16 +254,21 @@ except KeyError as exc:
 class TestWorkerFaults:
     @pytest.mark.parametrize("n_partitions,target", [(1, 0), (2, 1), (4, 1),
                                                      (4, 3)])
-    def test_fault_is_raised_with_its_partition(self, n_partitions, target):
-        src = os.path.join(ROOT, "src")
-        path = os.environ.get("PYTHONPATH")
-        env = dict(os.environ,
-                   PYTHONPATH=src if not path else os.pathsep.join([src, path]))
-        script = FAULT_SCRIPT.format(target=target, n_partitions=n_partitions)
-        proc = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=300)
+    def test_fault_is_raised_with_its_partition(self, n_partitions, target,
+                                                 run_python):
+        proc = run_python(FAULT_SCRIPT.format(target=target,
+                                              n_partitions=n_partitions,
+                                              side=2))
         assert proc.returncode == 0, proc.stderr
         assert f"raised ['partition {target}, step 1']" in proc.stdout
+
+    def test_stop_reaches_partitions_beyond_the_neighbours(self, run_python):
+        # on 4x4 columns, partition 0 does not border partition 7: it waits
+        # on partitions that stopped because 7 did, and must stop in turn
+        proc = run_python(FAULT_SCRIPT.format(target=7, n_partitions=8,
+                                              side=4))
+        assert proc.returncode == 0, proc.stderr
+        assert "raised ['partition 7, step 1']" in proc.stdout
 
 
 class TestSnapshots:

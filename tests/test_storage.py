@@ -91,6 +91,50 @@ class TestScatterDss:
         assert np.abs(out - cg).max() < 1e-13
 
 
+# one partition's contribution has too few nodes per element; run in a
+# subprocess by the run_python fixture (conftest.py)
+BAD_SHAPE_SCRIPT = """
+import numpy as np
+from sembox.reference_element import ReferenceElement
+from sembox.mesh import build_box_mesh, build_cg_numbering, partition_columns
+from sembox.storage import N_VARS, PartitionLayout, halo_exchange
+
+mesh = build_box_mesh(4, 4, 3, 1000.0, 1000.0, 1000.0)
+num = build_cg_numbering(mesh, ReferenceElement.create(3))
+parts = partition_columns(mesh, {n_parts})
+contribs = [np.ones((p.n_elements, 64, N_VARS)) for p in parts]
+contribs[{target}] = np.ones((parts[{target}].n_elements, 8, N_VARS))
+try:
+    halo_exchange(PartitionLayout(mesh, num, parts), contribs)
+except IndexError:
+    print("raised IndexError")
+"""
+
+# eight partitions on the two-core host, switching threads every microsecond:
+# a lost or misrouted message breaks the bitwise match or hangs
+STRESS_SCRIPT = """
+import sys
+import numpy as np
+from sembox.reference_element import ReferenceElement
+from sembox.mesh import build_box_mesh, build_cg_numbering, partition_columns
+from sembox.storage import N_VARS, PartitionLayout, dss, halo_exchange
+
+mesh = build_box_mesh(4, 4, 3, 1000.0, 1000.0, 1000.0)
+num = build_cg_numbering(mesh, ReferenceElement.create(3))
+parts = partition_columns(mesh, 8)
+layout = PartitionLayout(mesh, num, parts)
+contrib = np.random.default_rng(7).standard_normal((mesh.n_elements, 64, N_VARS))
+serial = dss(contrib, num)
+sys.setswitchinterval(1e-6)
+for _ in range(50):
+    outs = halo_exchange(layout, [contrib[p.elem_start:p.elem_stop]
+                                  for p in parts])
+    assert all(np.array_equal(out, serial[plan.own_gids])
+               for out, plan in zip(outs, layout.plans))
+print("identical")
+"""
+
+
 class TestPartitionedAssembly:
     @pytest.mark.parametrize("n_parts", [1, 2, 4, 8])
     def test_bitwise_matches_serial(self, setup443, n_parts):
@@ -132,6 +176,19 @@ class TestPartitionedAssembly:
                 at_t = np.searchsorted(plans[t].own_gids, common)
                 at_u = np.searchsorted(plans[u].own_gids, common)
                 assert np.array_equal(outs[t][at_t], outs[u][at_u])
+
+    @pytest.mark.parametrize("n_parts,target", [(2, 1), (4, 2)])
+    def test_faulty_partition_raises_without_hang(self, n_parts, target,
+                                                  run_python):
+        proc = run_python(BAD_SHAPE_SCRIPT.format(n_parts=n_parts,
+                                                  target=target))
+        assert proc.returncode == 0, proc.stderr
+        assert "raised IndexError" in proc.stdout
+
+    def test_repeated_exchange_under_fast_switching(self, run_python):
+        proc = run_python(STRESS_SCRIPT)
+        assert proc.returncode == 0, proc.stderr
+        assert "identical" in proc.stdout
 
     def test_single_partition_no_messages(self, setup443):
         _, mesh, _, num = setup443
