@@ -4,7 +4,9 @@ Subcommands: ``mesh`` (build/partition/report), ``run`` (bubble
 simulation), ``scale`` (worker sweep), ``perfmodel`` (cost tables),
 ``sweep-order`` (runtime vs polynomial order).  A flat key=value config
 file can seed any run option; explicit flags win.  Exit codes: 0 on
-success, 2 on configuration or usage errors, 3 on a diverged run.
+success, 2 on configuration or usage errors, 3 on a diverged run, 4 on
+a fault inside a worker of the run (an internal error, reported with
+its partition and step).
 """
 
 import argparse
@@ -19,13 +21,15 @@ from .perf_model import (MachineModel, SimConfig, PRESET_SHEETS,
                          BUBBLE_CONFIG, PLANETARY_CONFIG, BUBBLE_CALIBRATIONS,
                          sheet_table, model_table, emit_table, emit_csv,
                          order_sweep)
-from .harness import (BubbleConfig, ConfigError, run_bubble, scale_experiment,
-                      scale_table, scale_csv)
+from .harness import (BubbleConfig, ConfigError, DivergedRunError, run_bubble,
+                      scale_experiment, scale_table, scale_csv,
+                      worker_fault_note)
 from .storage import ENGINE_SCHEMES
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
+EXIT_FAULT = 4
 
 # config-file keys accepted by `run` and `scale` (flat key=value text)
 _BUBBLE_KEYS = {
@@ -193,8 +197,14 @@ def cmd_run(args) -> int:
 def cmd_scale(args) -> int:
     file_values = load_config_file(args.config) if args.config else {}
     cfg = bubble_config_from(args, file_values)
+    if cfg.snapshot_every:
+        raise ConfigError("scale writes no snapshots: remove snapshot_every")
     counts = [int(x) for x in str(args.parts).split(",") if x]
-    points = scale_experiment(cfg, counts)
+    try:
+        points = scale_experiment(cfg, counts)
+    except DivergedRunError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DIVERGED
     print(scale_table(points))
     if args.out:
         os.makedirs(args.out, exist_ok=True)
@@ -290,7 +300,14 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exc.code not in (0,) else 0
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, MeshError, ValueError) as exc:
+    except Exception as exc:
+        note = worker_fault_note(exc)
+        if note is not None:
+            print(f"internal fault in {note}: {type(exc).__name__}: {exc}",
+                  file=sys.stderr)
+            return EXIT_FAULT
+        if not isinstance(exc, (ConfigError, MeshError, ValueError)):
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

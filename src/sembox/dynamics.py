@@ -5,11 +5,21 @@ Theta the density-weighted potential temperature.  Pressure and gravity
 enter in perturbation form about the frozen hydrostatic background, so
 the resting reference atmosphere is a machine-exact steady state.
 
-The element kernel works on whole batches of elements (one fused set of
-tensor contractions per batch) and produces J*w-weighted contributions;
-the storage module assembles them into unique grid points.  The pressure,
-filter and wall policies serve the serial operators and the partition
-workers alike.
+The element kernel works on whole batches of elements in the
+contravariant flux form (Kopriva, *Implementing Spectral Methods for
+PDEs*, 2009): the physical flux is rotated once per node by the metric
+cofactor J d(xi_a)/d(x_d) into one flux per reference direction, and
+each is differentiated along its own direction only, 15 one-direction
+contractions per node (3 directions x 5 variables) on
+structure-of-arrays data.  On affine elements this equals the chain-rule
+form to round-off; on trilinear mapped elements it is the conservative
+form and keeps a uniform flow uniform only for p >= 2, where the
+discrete metric identities hold (at p = 1 a mapped 2x2x2 box leaves a
+free-stream residual of order 1e-3 relative to the flux change across an
+element).  The kernel produces J*w-weighted contributions; the storage
+module assembles them into unique grid points.  The pressure, filter and
+wall policies serve the serial operators and the partition workers
+alike.
 """
 
 from dataclasses import dataclass
@@ -62,60 +72,52 @@ def pressure(rho, theta_density, const: GasConstants):
     return const.p0 * (const.R * theta_density / const.p0) ** const.gamma
 
 
-def flux(q, p_prime, out=None):
-    """Flux tensor per node: rows rho*u; rho*u (x) u + P' I; Theta*u.
+def flux(q, p_prime, jg, F, U):
+    """Contravariant flux of every node, direction-major, into ``F``.
 
-    ``q`` has shape (..., 5); ``p_prime`` the perturbation pressure
-    (..., ).  Returns (..., 5, 3).
+    ``q`` is the conserved state (5, M), ``p_prime`` the perturbation
+    pressure (M,) and ``jg`` the metric cofactor (3, 3, M),
+    jg[a, d] = J d(xi_a)/d(x_d).  With the contravariant velocity
+    U_a = sum_d jg[a, d] u_d, the flux along xi_a is
+    Fc[a] = q U_a plus jg[a, c] P' on the momentum rows 1 + c.
+    ``F`` is (3, 5, M); ``U`` is a (3, M) scratch buffer.
     """
-    q = np.asarray(q, dtype=float)
-    p_prime = np.asarray(p_prime, dtype=float)
-    mom = q[..., 1:4]
-    u = mom / q[..., 0:1]
-    F = np.empty(q.shape + (3,)) if out is None else out
-    F[..., 0, :] = mom
-    F[..., 1:4, :] = mom[..., :, None] * u[..., None, :]
-    for d in range(3):
-        F[..., 1 + d, d] += p_prime
-    F[..., 4, :] = q[..., 4:5] * u
+    np.multiply(jg[:, 0], q[1], out=U)
+    U += jg[:, 1] * q[2]
+    U += jg[:, 2] * q[3]
+    U /= q[0]
+    np.multiply(U[:, None, :], q[None, :, :], out=F)
+    for a in range(3):
+        np.multiply(jg[a], p_prime, out=U)      # U is spent: reuse it
+        F[a, 1:4] += U
     return F
-
-
-def local_derivative(values: np.ndarray, metrics: MetricTerms,
-                     ref: ReferenceElement, axis: int) -> np.ndarray:
-    """Physical derivative of element-nodal data along x, y, or z.
-
-    Three 1D differentiation sweeps (along xi, eta, zeta), each weighted
-    by the matching inverse-Jacobian column and summed.  ``values`` has
-    shape (E, n, n, n) with node axes ordered z, y, x.
-    """
-    D = ref.diff_matrix
-    d_xi = np.einsum("im,ekjm->ekji", D, values)
-    d_eta = np.einsum("jm,ekmi->ekji", D, values)
-    d_zeta = np.einsum("km,emji->ekji", D, values)
-    g = metrics.dxi_dx
-    return (d_xi * g[..., 0, axis] + d_eta * g[..., 1, axis]
-            + d_zeta * g[..., 2, axis])
 
 
 @dataclass
 class RhsWorkspace:
-    """Reusable element-batch buffers for the right-hand-side kernel."""
+    """Reusable structure-of-arrays buffers of the right-hand-side kernel
+    for a batch of M = E n^3 element nodes."""
 
-    flux: np.ndarray     # (E, n, n, n, 5, 3)
-    deriv: np.ndarray    # (E, n, n, n, 5, 3)
-    div: np.ndarray      # (E, n, n, n, 5)
+    U: np.ndarray        # (3, M) contravariant velocity
+    flux: np.ndarray     # (3, 5, M) contravariant flux, direction-major
+    div: np.ndarray      # (5, M) reference-space divergence
 
     @classmethod
     def create(cls, n_elements: int, n: int) -> "RhsWorkspace":
-        shape = (n_elements, n, n, n)
-        return cls(flux=np.empty(shape + (N_VARS, 3)),
-                   deriv=np.empty(shape + (N_VARS, 3)),
-                   div=np.empty(shape + (N_VARS,)))
+        m = n_elements * n ** 3
+        return cls(U=np.empty((3, m)), flux=np.empty((3, N_VARS, m)),
+                   div=np.empty((N_VARS, m)))
 
 
-def _first_bad_element(arr: np.ndarray) -> int:
-    bad = ~np.isfinite(arr.reshape(arr.shape[0], -1))
+def element_soa(cg: np.ndarray, gids: np.ndarray) -> np.ndarray:
+    """Rows of the point field ``cg`` (points, vars) at the element nodes
+    ``gids`` (E, n^3), as a structure of arrays (vars, E, n^3)."""
+    return np.take(cg.T, gids, axis=1)
+
+
+def _first_bad_element(arr: np.ndarray, axis: int = 0) -> int:
+    """First element with a non-finite value; ``axis`` is the element axis."""
+    bad = ~np.isfinite(np.moveaxis(arr, axis, 0).reshape(arr.shape[axis], -1))
     return int(np.argmax(np.any(bad, axis=1)))
 
 
@@ -125,7 +127,9 @@ def _contract(D: np.ndarray, src: np.ndarray, dst: np.ndarray, axis: int):
     The contraction runs as a batched matrix product on reshaped views:
     grouping the leading axes and flattening the trailing ones leaves the
     contracted axis in the middle, which is much faster than the general
-    einsum path.  ``axis`` counts node axes: 0 = z, 1 = y, 2 = x.
+    einsum path.  ``axis`` counts node axes: 0 = z, 1 = y, 2 = x.  Each
+    batch entry is a product within one element, so the result does not
+    depend on how many elements the batch holds.
     """
     E, n = src.shape[0], D.shape[0]
     lead = E * n ** axis
@@ -134,53 +138,65 @@ def _contract(D: np.ndarray, src: np.ndarray, dst: np.ndarray, axis: int):
     return dst
 
 
-def _flux_divergence(ws: RhsWorkspace, metrics: MetricTerms,
-                     ref: ReferenceElement) -> np.ndarray:
-    """div of the tensor in ws.flux via per-direction contractions."""
-    D = ref.diff_matrix
-    _contract(D, ws.flux, ws.deriv, 2)
-    np.einsum("ekjivd,ekjid->ekjiv", ws.deriv, metrics.dxi_dx[..., 0, :],
-              out=ws.div)
-    _contract(D, ws.flux, ws.deriv, 1)
-    ws.div += np.einsum("ekjivd,ekjid->ekjiv", ws.deriv,
-                        metrics.dxi_dx[..., 1, :])
-    _contract(D, ws.flux, ws.deriv, 0)
-    ws.div += np.einsum("ekjivd,ekjid->ekjiv", ws.deriv,
-                        metrics.dxi_dx[..., 2, :])
-    return ws.div
-
-
-def rhs_element_contributions(state_el: np.ndarray, ra_el: np.ndarray,
-                              metrics: MetricTerms, ref: ReferenceElement,
-                              const: GasConstants,
+def rhs_element_contributions(state_cg: np.ndarray, gids: np.ndarray,
+                              ra_el: np.ndarray, metrics: MetricTerms,
+                              ref: ReferenceElement, const: GasConstants,
                               ws: RhsWorkspace | None = None,
                               p_prime_el: np.ndarray | None = None) -> np.ndarray:
-    """J*w-weighted RHS contribution of every element in the batch.
+    """J*w-weighted RHS contribution of every element at ``gids`` (E, n^3).
 
-    ``state_el``/``ra_el`` are element views (E, n, n, n, vars).  When the
-    perturbation pressure was already evaluated at unique points (CG
-    storage), it is passed in; DG storage evaluates it here, per
-    duplicated node.  Output = -J*w*(div F - S).
+    Contravariant (conservative) flux form: with Fc[a] the flux along
+    xi_a (see :func:`flux`), the element divergence is
+    J div F = D_xi Fc[0] + D_eta Fc[1] + D_zeta Fc[2], fifteen
+    one-direction contractions on structure-of-arrays (vars, nodes) data,
+    and the contribution is -w (J div F) - J w S with the gravity source
+    S on the vertical momentum.  On affine elements this equals the
+    chain-rule form to round-off.  On trilinear mapped elements it keeps
+    a uniform flow uniform only where the discrete metric identities
+    hold, which needs p >= 2 (at p = 1 the cofactor is not differentiated
+    exactly).
+
+    ``state_cg`` holds the points ``gids`` indexes; ``ra_el`` is the
+    background at the element nodes, (3, E, n^3) as :func:`element_soa`
+    gathers it.  When the perturbation pressure was already evaluated at
+    unique points (CG storage), it is passed in; DG storage evaluates it
+    here, per duplicated node.  Returns a C-contiguous (E, n, n, n, 5).
     """
     n = ref.n_nodes
-    E = state_el.shape[0]
-    state = state_el.reshape(E, n, n, n, N_VARS)
-    ra = ra_el.reshape(E, n, n, n, 3)
-    if not np.all(np.isfinite(state)):
-        raise DivergedStateError(_first_bad_element(state))
+    E = gids.shape[0]
+    m = gids.size
+    q = element_soa(state_cg, gids).reshape(N_VARS, m)
+    if not np.all(np.isfinite(q)):
+        raise DivergedStateError(
+            _first_bad_element(q.reshape(N_VARS, E, -1), axis=1))
     if ws is None:
         ws = RhsWorkspace.create(E, n)
+    ra = ra_el.reshape(3, m)
 
     if p_prime_el is None:
-        p_prime = pressure(state[..., 0], state[..., 4], const) - ra[..., 1]
+        p_prime = pressure(q[0], q[4], const) - ra[1]
     else:
-        p_prime = p_prime_el.reshape(E, n, n, n)
+        p_prime = p_prime_el.reshape(m)
 
-    flux(state, p_prime, out=ws.flux)
-    div = _flux_divergence(ws, metrics, ref)
+    F = flux(q, p_prime, metrics.jg.reshape(3, 3, m), ws.flux, ws.U)
+    # x runs as one GEMM against D^T (its rows do not depend on how many
+    # the batch holds, which partition invariance needs); each spent flux
+    # block then takes the next direction's result
+    D = ref.diff_matrix
+    np.matmul(F[0].reshape(-1, n), np.ascontiguousarray(D.T),
+              out=ws.div.reshape(-1, n))
+    _contract(D, F[1].reshape(-1, n, n, n), F[0], 1)
+    ws.div += F[0]
+    _contract(D, F[2].reshape(-1, n, n, n), F[1], 0)
+    ws.div += F[1]
+
+    contrib = np.empty((E, n, n, n, N_VARS))
+    flat = contrib.reshape(E, n ** 3, N_VARS)
+    np.multiply(ws.div.reshape(N_VARS, E, -1), -ref.weights_3d.reshape(-1),
+                out=flat.transpose(2, 0, 1))
     # source: gravity acting on the density perturbation only
-    div[..., 3] += (state[..., 0] - ra[..., 0]) * const.gravity
-    contrib = div * -metrics.jw[..., None]
+    flat[..., 3] -= (const.gravity * metrics.jw.reshape(E, -1)
+                     * (q[0] - ra[0]).reshape(E, -1))
     if not np.all(np.isfinite(contrib)):
         raise DivergedStateError(_first_bad_element(contrib), "right-hand side")
     return contrib
@@ -224,7 +240,8 @@ def create_rhs(state_cg: np.ndarray, disc: Discretization, const: GasConstants,
         raise ValueError(f"unknown storage scheme {scheme!r}")
     gids = disc.numbering.global_ids
     p_el = element_pressure(state_cg, gids, ra, const, scheme)
-    contrib = rhs_element_contributions(state_cg[gids], ra.cg[gids],
+    contrib = rhs_element_contributions(state_cg, gids,
+                                        element_soa(ra.cg, gids),
                                         disc.metrics, disc.ref, const,
                                         p_prime_el=p_el)
     return dss(contrib, disc.numbering)

@@ -19,6 +19,7 @@ turn; a fault is raised by ``run_bubble``.
 
 from dataclasses import dataclass
 import os
+import re
 import threading
 import time
 
@@ -32,7 +33,7 @@ from .storage import (N_VARS, SCHEME_CG, ENGINE_SCHEMES, Mailboxes,
                       write_snapshot)
 from .dynamics import (Discretization, GasConstants, RhsWorkspace,
                        DivergedStateError, StateValidityError, apply_boundary,
-                       element_pressure, filter_contributions,
+                       element_pressure, element_soa, filter_contributions,
                        rhs_element_contributions)
 from .time_integration import (DEFAULT_SCHEME, TimestepControl, compute_dt)
 from .perf_model import SimConfig, count_costs
@@ -40,6 +41,16 @@ from .perf_model import SimConfig, count_costs
 
 class ConfigError(ValueError):
     pass
+
+
+class DivergedRunError(RuntimeError):
+    """A run of a scaling sweep diverged, so its timings cover no full run."""
+
+    def __init__(self, n_partitions: int, failed_step: int):
+        super().__init__(f"the {n_partitions}-worker run diverged at step "
+                         f"{failed_step}")
+        self.n_partitions = n_partitions
+        self.failed_step = failed_step
 
 
 @dataclass
@@ -263,7 +274,8 @@ class _Worker:
     def __init__(self, part_id: int, layout: PartitionLayout,
                  disc: Discretization, const: GasConstants,
                  ra: ReferenceAtmosphere, config: BubbleConfig,
-                 mail: Mailboxes, dt: float, n_steps: int):
+                 mail: Mailboxes, dt: float, n_steps: int,
+                 snapshot_every: int):
         self.t = part_id
         self.layout = layout
         self.ref = disc.ref
@@ -272,6 +284,7 @@ class _Worker:
         self.mail = mail
         self.dt = dt
         self.n_steps = n_steps
+        self.snapshot_every = snapshot_every
         self.plan = plan = layout.plans[part_id]
         self.num = plan.numbering
         if self.num is not disc.numbering:     # T=1 copies no background
@@ -282,7 +295,7 @@ class _Worker:
         self.metrics_view = _metric_slice(
             disc.metrics, slice(plan.elem_start, plan.elem_stop))
         self.ws = RhsWorkspace.create(len(self.gids), disc.ref.n_nodes)
-        self.ra_el = ra.cg[self.gids]
+        self.ra_el = element_soa(ra.cg, self.gids)
         self.diags = []
         self.snapshots = []
         self.phase_seconds = {ph: 0.0 for ph in PHASES}
@@ -308,7 +321,7 @@ class _Worker:
         p_el = element_pressure(state, self.gids, self.ra, self.const,
                                 self.config.scheme)
         contrib = rhs_element_contributions(
-            state[self.gids], self.ra_el, self.metrics_view, self.ref,
+            state, self.gids, self.ra_el, self.metrics_view, self.ref,
             self.const, ws=self.ws, p_prime_el=p_el)
         self._time("create_rhs", t0)
         return self._exchange(contrib)
@@ -353,7 +366,7 @@ class _Worker:
                     self.loop_seconds += time.perf_counter() - step_t0
                 self.diags.append(_diag_partials(state, self.ra, self.num,
                                                  owned))
-                every = self.config.snapshot_every
+                every = self.snapshot_every
                 if every and step % every == 0:
                     self.snapshots.append((step, state[owned]))
         except Exception as exc:
@@ -362,14 +375,25 @@ class _Worker:
             if not isinstance(exc, NeighborStopped):
                 # what BaseException.add_note does, also on Python 3.10
                 exc.__notes__ = [*getattr(exc, "__notes__", []),
-                                 f"partition {self.t}, step {step}"]
+                                 _FAULT_NOTE.format(self.t, step)]
                 self.failed = exc
         self.final_state = state
 
 
+_FAULT_NOTE = "partition {}, step {}"
+_FAULT_NOTE_RE = re.compile(r"partition \d+, step \d+")
+
+
+def worker_fault_note(exc: BaseException) -> str | None:
+    """The ``partition t, step s`` note a worker puts on a fault that
+    ``run_bubble`` raises, or None for an exception raised elsewhere."""
+    return next((note for note in getattr(exc, "__notes__", ())
+                 if _FAULT_NOTE_RE.fullmatch(note)), None)
+
+
 def _metric_slice(metrics, sl):
     return MetricTerms(coords=metrics.coords[sl], jacobian=metrics.jacobian[sl],
-                       dxi_dx=metrics.dxi_dx[sl], jw=metrics.jw[sl])
+                       jg=metrics.jg[:, :, sl], jw=metrics.jw[sl])
 
 
 def _ledger_flops(config: BubbleConfig, timed_steps: int) -> float:
@@ -392,7 +416,10 @@ def run_bubble(config: BubbleConfig, n_partitions: int = 1,
     """Run the bubble test on ``n_partitions`` workers.
 
     Returns (RunReport, final_state).  Snapshots and the diagnostics CSV
-    land in ``out_dir`` when given.
+    land in ``out_dir`` when given; without it no snapshot is collected.
+    A fault in a worker is raised here with a ``partition t, step s``
+    note (see :func:`worker_fault_note`); a diverged run ends normally,
+    with ``failed_step`` set in the report.
     """
     config.validate()
     const = const or GasConstants()
@@ -408,8 +435,9 @@ def run_bubble(config: BubbleConfig, n_partitions: int = 1,
     parts = partition_columns(disc.mesh, n_partitions)
     layout = PartitionLayout(disc.mesh, disc.numbering, parts)
     mail = Mailboxes(layout)
+    snapshot_every = config.snapshot_every if out_dir is not None else 0
     workers = [_Worker(part.part_id, layout, disc, const, ra, config, mail,
-                       dt, n_steps) for part in parts]
+                       dt, n_steps, snapshot_every) for part in parts]
 
     wall0 = time.perf_counter()
     if n_partitions == 1:
@@ -500,12 +528,15 @@ def scale_experiment(config: BubbleConfig, partition_counts,
     """Strong scaling over worker counts at fixed problem size.
 
     Efficiency of T workers over the baseline T0 (the first entry) is
-    t0*T0/(t*T), per phase and for the whole timed loop.
+    t0*T0/(t*T), per phase and for the whole timed loop.  A diverged run
+    raises :class:`DivergedRunError`.
     """
     points = []
     base = None
     for T in partition_counts:
         report, _ = run_bubble(config, n_partitions=T, const=const)
+        if report.failed_step is not None:
+            raise DivergedRunError(T, report.failed_step)
         timed = report.total_seconds
         if base is None:
             base = (T, timed, dict(report.phase_seconds))

@@ -187,15 +187,16 @@ class MetricTerms:
     """Per-node geometry of every element.
 
     ``coords`` are the physical node positions; ``jacobian`` the volume
-    Jacobian determinant; ``dxi_dx[..., b, a]`` holds the inverse-Jacobian
-    entry d(xi_b)/d(x_a).  ``jw`` is the quadrature weight times Jacobian,
-    the factor every element contribution carries into the assembly.
-    Element node arrays are indexed ``[element, k, j, i]`` with i along x.
+    Jacobian determinant J; ``jg[a, d]`` the cofactor J d(xi_a)/d(x_d),
+    direction-major, which turns a physical flux into the contravariant
+    flux along xi_a.  ``jw`` is the quadrature weight times Jacobian, the
+    factor every element contribution carries into the assembly.  Element
+    node arrays are indexed ``[element, k, j, i]`` with i along x.
     """
 
     coords: np.ndarray    # (E, n, n, n, 3)
     jacobian: np.ndarray  # (E, n, n, n)
-    dxi_dx: np.ndarray    # (E, n, n, n, 3, 3)
+    jg: np.ndarray        # (3, 3, E, n, n, n)
     jw: np.ndarray        # (E, n, n, n)
 
 
@@ -203,8 +204,11 @@ def compute_metrics(mesh: ColumnMesh, ref: ReferenceElement) -> MetricTerms:
     """Differentiate the trilinear coordinate map at the Lobatto nodes.
 
     The coordinate field is degree one per direction, so the nodal
-    differentiation matrix reproduces its derivatives exactly; J and the
-    inverse Jacobian are therefore exact at every node.
+    differentiation matrix reproduces the covariant vectors
+    g_b = dx/dxi_b exactly.  The cofactor rows are their cross products,
+    J grad(xi_a) = g_{a+1} x g_{a+2}, each of degree two along xi_a, so
+    for p >= 2 the discrete metric identities sum_a D_a jg[a, d] = 0 hold
+    to round-off; J = g_0 . (g_1 x g_2).
     """
     x = ref.points
     D = ref.diff_matrix
@@ -212,22 +216,28 @@ def compute_metrics(mesh: ColumnMesh, ref: ReferenceElement) -> MetricTerms:
     coords = np.einsum("kc,jb,ia,ecbad->ekjid", shape, shape, shape, mesh.vertices,
                        optimize=True)
 
-    dx_dxi = np.empty(coords.shape[:4] + (3, 3))
-    dx_dxi[..., 0] = np.einsum("im,ekjmd->ekjid", D, coords)  # d/dxi
-    dx_dxi[..., 1] = np.einsum("jm,ekmid->ekjid", D, coords)  # d/deta
-    dx_dxi[..., 2] = np.einsum("km,emjid->ekjid", D, coords)  # d/dzeta
+    xyz = np.moveaxis(coords, -1, 0)                   # (3, E, n, n, n) view
+    g = np.empty((3,) + xyz.shape)                     # g[b, d] = dx_d/dxi_b
+    np.einsum("im,dekjm->dekji", D, xyz, out=g[0])     # d/dxi
+    np.einsum("jm,dekmi->dekji", D, xyz, out=g[1])     # d/deta
+    np.einsum("km,demji->dekji", D, xyz, out=g[2])     # d/dzeta
 
-    jac = np.linalg.det(dx_dxi)
+    jg = np.empty_like(g)
+    for a in range(3):
+        u, v = g[(a + 1) % 3], g[(a + 2) % 3]
+        for d in range(3):
+            e, f = (d + 1) % 3, (d + 2) % 3
+            np.multiply(u[e], v[f], out=jg[a, d])
+            jg[a, d] -= u[f] * v[e]
+    jac = g[0, 0] * jg[0, 0]
+    jac += g[0, 1] * jg[0, 1]
+    jac += g[0, 2] * jg[0, 2]
     if np.any(jac <= 0.0):
         bad = int(np.argwhere(np.any(jac.reshape(mesh.n_elements, -1) <= 0, axis=1))[0, 0])
         raise InvertedElementError(
             f"non-positive Jacobian in element {bad} (min J = {jac.min():.3e})")
-    # inv of (d x_a / d xi_b) is indexed [..., b, a] = d xi_b / d x_a
-    dxi_dx = np.linalg.inv(dx_dxi)
-
-    w = ref.weights
-    w3 = w[:, None, None] * w[None, :, None] * w[None, None, :]  # [k, j, i]
-    return MetricTerms(coords=coords, jacobian=jac, dxi_dx=dxi_dx, jw=jac * w3)
+    return MetricTerms(coords=coords, jacobian=jac, jg=jg,
+                       jw=jac * ref.weights_3d)
 
 
 # ---------------------------------------------------------------------------

@@ -224,3 +224,9 @@ class ReferenceElement:
     @property
     def n_nodes(self) -> int:
         return self.order + 1
+
+    @property
+    def weights_3d(self) -> np.ndarray:
+        """Tensor-product quadrature weights of the element nodes, [k, j, i]."""
+        w = self.weights
+        return w[:, None, None] * w[None, :, None] * w[None, None, :]

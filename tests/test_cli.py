@@ -1,6 +1,7 @@
 import pytest
 
-from sembox.cli import main, load_config_file, EXIT_CONFIG, EXIT_OK
+from sembox.cli import (main, load_config_file, EXIT_CONFIG, EXIT_DIVERGED,
+                        EXIT_FAULT, EXIT_OK)
 
 
 def run_cli(capsys, *argv):
@@ -183,6 +184,67 @@ class TestScaleCommand:
         assert "efficiency" in out
         csv = (tmp_path / "scaling.csv").read_text()
         assert len(csv.splitlines()) == 3
+
+    def test_diverged_sweep_exits_3_without_timings(self, capsys, tmp_path):
+        # Courant 2.0 on this mesh diverges at step 5 at every worker count
+        code, out, err = run_cli(capsys, "scale", "--nx", "2", "--ny", "2",
+                                 "--layers", "2", "--steps", "40",
+                                 "--courant-h", "2.0", "--courant-v", "2.0",
+                                 "--parts", "1,2", "--out", str(tmp_path))
+        assert code == EXIT_DIVERGED
+        assert "the 1-worker run diverged at step 5" in err
+        assert "efficiency" not in out
+        assert not (tmp_path / "scaling.csv").exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_snapshot_cadence_exits_2(self, capsys, tmp_path, source):
+        # scale writes no snapshots, so a cadence asks for nothing it does
+        argv = ["scale", "--nx", "2", "--ny", "2", "--layers", "2",
+                "--steps", "2", "--parts", "1,2"]
+        if source == "flag":
+            argv += ["--snapshot-every", "1"]
+        else:
+            cfg = tmp_path / "bubble.cfg"
+            cfg.write_text("snapshot_every = 1\n")
+            argv += ["--config", str(cfg)]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == EXIT_CONFIG
+        assert "efficiency" not in out
+
+
+# run in a subprocess by the run_python fixture (conftest.py)
+FAULT_CLI_SCRIPT = """
+import sys
+from sembox import cli, harness
+
+real = harness.filter_contributions
+
+def faulty(*args):
+    if sys._getframe(1).f_locals["self"].t == {target}:
+        raise {error}("injected")
+    return real(*args)
+
+harness.filter_contributions = faulty
+sys.exit(cli.main([{command!r}, "--nx", "2", "--ny", "2", "--layers", "2",
+                   "--steps", "2", "--parts", {parts!r}]))
+"""
+
+
+class TestWorkerFaultExit:
+    """A fault inside a worker is an internal error, neither bad input
+    (exit 2) nor divergence (exit 3)."""
+
+    @pytest.mark.parametrize("command,parts,target", [
+        ("run", "1", 0), ("run", "2", 1), ("scale", "1,2", 0)])
+    @pytest.mark.parametrize("error", ["KeyError", "ValueError"])
+    def test_exits_4_naming_partition_and_step(self, run_python, error,
+                                                command, parts, target):
+        proc = run_python(FAULT_CLI_SCRIPT.format(
+            target=target, error=error, command=command, parts=parts))
+        assert proc.returncode == EXIT_FAULT, proc.stderr
+        assert f"partition {target}, step 1" in proc.stderr
+        assert error in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestSweepOrderCommand:

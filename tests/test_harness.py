@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sembox import harness
 from sembox.dynamics import (GasConstants, apply_boundary, apply_filter,
                              create_rhs)
 from sembox.harness import (
@@ -278,6 +279,23 @@ class TestSnapshots:
         assert (tmp_path / "state_000002.bin").exists()
         got, _ = read_snapshot(tmp_path / "state_000004.bin")
         assert np.array_equal(got, final)
+
+    @pytest.mark.parametrize("n_partitions", [1, 2])
+    def test_no_pieces_without_out_dir(self, monkeypatch, n_partitions):
+        # nothing writes snapshots without an output directory, so the
+        # workers must not collect them
+        workers = []
+
+        class Recorded(harness._Worker):
+            def __init__(self, *args):
+                super().__init__(*args)
+                workers.append(self)
+
+        monkeypatch.setattr(harness, "_Worker", Recorded)
+        cfg = BubbleConfig(nx=2, ny=2, layers=2, n_steps=2, snapshot_every=1)
+        run_bubble(cfg, n_partitions=n_partitions)
+        assert len(workers) == n_partitions
+        assert all(w.snapshots == [] for w in workers)
 
 
 class TestScaling:

@@ -8,6 +8,7 @@ from sembox.mesh import (
     morton_decode, morton_encode, partition_columns, partition_quality,
     summary_text,
 )
+from oracles import inverse_jacobian, mapped_box_mesh
 
 
 @pytest.fixture(scope="module")
@@ -95,35 +96,31 @@ class TestMetrics:
         mt = compute_metrics(m, ref3)
         assert np.allclose(mt.jacobian, 1.0, atol=1e-14)
         eye = np.eye(3)
-        assert np.abs(mt.dxi_dx - eye).max() < 1e-14
+        assert np.abs(inverse_jacobian(mt) - eye).max() < 1e-14
 
     def test_affine_box(self, ref3):
         m = build_box_mesh(1, 1, 1, 10.0, 20.0, 40.0)
         mt = compute_metrics(m, ref3)
         assert np.allclose(mt.jacobian, 1000.0)
-        assert np.allclose(mt.dxi_dx[..., 0, 0], 0.2)
-        assert np.allclose(mt.dxi_dx[..., 1, 1], 0.1)
-        assert np.allclose(mt.dxi_dx[..., 2, 2], 0.05)
+        dxi_dx = inverse_jacobian(mt)
+        assert np.allclose(dxi_dx[..., 0, 0], 0.2)
+        assert np.allclose(dxi_dx[..., 1, 1], 0.1)
+        assert np.allclose(dxi_dx[..., 2, 2], 0.05)
 
-    def test_metric_identity_curved(self, ref3):
-        # free-stream identity: sum_m d/dxi_m (J dxi_m/dx) = 0 per node
-        L = 1000.0
-
-        def mapping(x, y, z):
-            return (x + 30.0 * np.sin(np.pi * x / L) * np.sin(np.pi * y / L),
-                    y - 25.0 * np.sin(np.pi * y / L) * np.sin(np.pi * z / L),
-                    z + 20.0 * np.sin(np.pi * x / L) * np.sin(np.pi * z / L))
-
-        m = build_box_mesh(2, 2, 2, L, L, L, mapping=mapping)
-        mt = compute_metrics(m, ref3)
-        D = ref3.diff_matrix
+    @pytest.mark.parametrize("order", [2, 3, 4, 5])
+    def test_metric_identity_curved(self, order):
+        # free-stream identity: sum_m d/dxi_m (J dxi_m/dx) = 0 per node; the
+        # cofactor is quadratic along its own direction, so it needs p >= 2
+        ref = ReferenceElement.create(order)
+        mt = compute_metrics(mapped_box_mesh(), ref)
+        D = ref.diff_matrix
         resid = np.zeros(mt.jacobian.shape)
         for x_axis in range(3):
             r = np.zeros(mt.jacobian.shape)
-            jg = mt.jacobian[..., None] * mt.dxi_dx[..., :, x_axis]
-            r += np.einsum("im,ekjm->ekji", D, jg[..., 0])
-            r += np.einsum("jm,ekmi->ekji", D, jg[..., 1])
-            r += np.einsum("km,emji->ekji", D, jg[..., 2])
+            jg = mt.jg[:, x_axis]
+            r += np.einsum("im,ekjm->ekji", D, jg[0])
+            r += np.einsum("jm,ekmi->ekji", D, jg[1])
+            r += np.einsum("km,emji->ekji", D, jg[2])
             resid = np.maximum(resid, np.abs(r))
         # scale by element volume metric
         assert (resid / mt.jacobian.max()).max() < 1e-10
