@@ -291,8 +291,3 @@ def apply_boundary(state_cg: np.ndarray, numbering: CgNumbering) -> np.ndarray:
     for axis, ids in numbering.boundary_ids.items():
         state_cg[ids, 1 + axis] = 0.0
     return state_cg
-
-
-def total_mass(state_cg: np.ndarray, numbering: CgNumbering) -> float:
-    """Mass integral sum(M_g * rho_g) over the domain."""
-    return float(numbering.mass @ state_cg[:, 0])

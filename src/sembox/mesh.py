@@ -116,9 +116,6 @@ class ColumnMesh:
         first = int(self.col_layers[0])
         return first if np.all(self.col_layers == first) else None
 
-    def elements_of_column(self, c: int) -> range:
-        return range(int(self.col_elem_start[c]), int(self.col_elem_start[c + 1]))
-
 
 def build_box_mesh(nx: int, ny: int, nz_layers: int,
                    Lx: float, Ly: float, Lz: float,

@@ -47,7 +47,7 @@ FLOPS_DIV = 10
 FLOPS_POW = 96
 N_PROGNOSTIC = 5
 N_REF_FIELDS = 3
-N_METRIC_FIELDS = 10  # nine inverse-Jacobian entries plus the J*w weight
+N_METRIC_FIELDS = 10  # nine metric-cofactor entries (jg) plus the J*w weight
 
 
 @dataclass(frozen=True)
@@ -519,20 +519,6 @@ def emit_csv(results: dict) -> str:
         vals = ",".join(repr(results[s][row]) for s in schemes)
         buf.write(f"{row},{vals}\n")
     return buf.getvalue()
-
-
-def parse_csv(text: str) -> dict:
-    """Inverse of :func:`emit_csv` (labels back to scheme keys)."""
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    labels = lines[0].split(",")[1:]
-    inv = {v: k for k, v in SCHEME_LABELS.items()}
-    out = {inv[lab]: {} for lab in labels}
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        row = parts[0]
-        for lab, val in zip(labels, parts[1:]):
-            out[inv[lab]][row] = float(val)
-    return out
 
 
 # ---------------------------------------------------------------------------

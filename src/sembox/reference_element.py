@@ -70,18 +70,6 @@ def lobatto_points(p: int):
     return x, w
 
 
-def lagrange_eval(points, i: int, xi: float) -> float:
-    """Value of the i-th Lagrange cardinal polynomial at ``xi``."""
-    points = np.asarray(points, dtype=float)
-    if not 0 <= i < points.size:
-        raise IndexError(f"node index {i} out of range for {points.size} points")
-    val = 1.0
-    for m, xm in enumerate(points):
-        if m != i:
-            val *= (xi - xm) / (points[i] - xm)
-    return val
-
-
 def diff_matrix(points):
     """Nodal differentiation matrix: D[i, m] = d(psi_m)/dxi at node i.
 

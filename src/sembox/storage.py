@@ -14,8 +14,9 @@ The summation follows one canonical order everywhere -- ascending
 produce bit-identical results: a partition accumulates its elements
 color batch by color batch, as serial assembly does over the whole
 mesh, and contributions at nodes shared between partitions are
-exchanged raw (one value per contributing element) and folded
-positionally in the same global order.
+exchanged raw (one value per contributing element) into fixed rank
+slots -- the rank being the contribution's place in that global order
+at its point -- and the slots are summed rank by rank.
 
 :meth:`PartitionLayout.exchange` is the one partitioned assembly, and
 :class:`Mailboxes` its one in-process transport (one FIFO per sending
@@ -89,7 +90,12 @@ def dss(contrib: np.ndarray, numbering: CgNumbering) -> np.ndarray:
 
 @dataclass
 class _PartPlan:
-    """Static per-partition pieces of the exchange and fold."""
+    """Static per-partition pieces of the exchange and fold.
+
+    A raw contribution at the partition's i-th shared point whose rank
+    in the canonical (color, element) order at that point is r has slot
+    ``r * shared.size + i``; every contribution there has its own slot.
+    """
 
     elem_start: int
     elem_stop: int
@@ -99,10 +105,10 @@ class _PartPlan:
     shared: np.ndarray             # local ids also touched by other partitions
     ser_elem: np.ndarray           # serialization: local element index
     ser_slot: np.ndarray           # serialization: node slot within element
-    msg_send: dict = field(default_factory=dict)   # u -> index into serialization
-    msg_len_recv: dict = field(default_factory=dict)  # u -> expected entries
-    fold_steps: list = field(default_factory=list)
-    # fold_steps[r] = list of (source_partition, target local ids, source indices)
+    ser_slots: np.ndarray          # rank slot of each serialized entry
+    n_ranks: int = 0               # most contributions at one shared point
+    msg_send: dict = field(default_factory=dict)    # u -> serialization index
+    recv_slots: dict = field(default_factory=dict)  # s -> slot of each entry
 
 
 class PartitionLayout:
@@ -113,9 +119,10 @@ class PartitionLayout:
     serialization of a partition's contributions at shared points is
     ordered by (gid, color, element); a halo message to a neighbor is a
     sub-slice of that serialization, so send and receive sides agree on
-    the layout by construction.  The fold plan replays the global
-    (color, element) order positionally, which keeps results bit-identical
-    to the serial assembly.
+    the layout by construction.  Own and received entries land in their
+    rank slots (:class:`_PartPlan`), and the fold sums the slots rank by
+    rank from +0.0, which is the serial assembly's order at every shared
+    point and keeps results bit-identical to it.
     """
 
     def __init__(self, mesh: ColumnMesh, numbering: CgNumbering,
@@ -144,68 +151,54 @@ class PartitionLayout:
         e_all, slot_all, g_all = e_all[key], slot_all[key], g_all[key]
         own_all = owner_elem[e_all]
         # rank of each contribution within its grid point's list
-        _, start_idx, counts = np.unique(g_all, return_index=True,
-                                         return_counts=True)
+        uniq, start_idx, counts = np.unique(g_all, return_index=True,
+                                            return_counts=True)
         pos_all = np.arange(g_all.size) - np.repeat(start_idx, counts)
-        max_pos = int(counts.max()) if counts.size else 0
 
         # per-partition serialization order: (gid, color, elem) restricted to
         # the partition's own entries; a stable sort by owner preserves it
         ser_of = [np.flatnonzero(own_all == t) for t in range(self.n_parts)]
-        ser_rank = np.empty(g_all.size, dtype=np.int64)
-        for t in range(self.n_parts):
-            ser_rank[ser_of[t]] = np.arange(ser_of[t].size)
+
+        def rank_slots(at, k):
+            """Rank slots of contributions k among the shared gids ``at``."""
+            return pos_all[k] * at.size + np.searchsorted(at, g_all[k])
 
         self.plans: list[_PartPlan] = []
         for part, (num, own), first in zip(parts, local, owned):
             mine = ser_of[part.part_id]
+            shared = np.flatnonzero(is_shared[own])
             self.plans.append(_PartPlan(
                 elem_start=part.elem_start, elem_stop=part.elem_stop,
-                numbering=num, own_gids=own, owned=first,
-                shared=np.flatnonzero(is_shared[own]),
+                numbering=num, own_gids=own, owned=first, shared=shared,
                 ser_elem=e_all[mine] - part.elem_start,
                 ser_slot=slot_all[mine],
+                ser_slots=rank_slots(own[shared], mine),
             ))
 
         # messages: t sends the entries of its serialization whose gid is
         # also touched by u; both sides can derive the same slice
         for t in range(self.n_parts):
             mine = ser_of[t]
-            for u in range(self.n_parts):
+            for u, plan in enumerate(self.plans):
                 if u == t:
                     continue
-                sel = np.flatnonzero(np.isin(g_all[mine], self.plans[u].own_gids))
+                sel = np.flatnonzero(np.isin(g_all[mine], plan.own_gids))
                 if sel.size:
                     self.plans[t].msg_send[u] = sel
-                    self.plans[u].msg_len_recv[t] = sel.size
+                    plan.recv_slots[t] = rank_slots(plan.own_gids[plan.shared],
+                                                    mine[sel])
 
-        # fold plan: replay the canonical order at each partition's shared
-        # points, reading from its own serialization or received messages
-        for t in range(self.n_parts):
-            plan = self.plans[t]
-            relevant = np.flatnonzero(np.isin(g_all, plan.own_gids[plan.shared]))
-            steps = []
-            for r in range(max_pos):
-                at_r = relevant[pos_all[relevant] == r]
-                per_source = []
-                for s in range(self.n_parts):
-                    ent = at_r[own_all[at_r] == s]
-                    if ent.size == 0:
-                        continue
-                    if s == t:
-                        src = ser_rank[ent]
-                    else:
-                        # position within the message s -> t
-                        msg = self.plans[s].msg_send[t]
-                        src = np.searchsorted(msg, ser_rank[ent])
-                        if not np.array_equal(msg[src], ser_rank[ent]):
-                            raise ProtocolError(
-                                f"exchange plan {s}->{t} missing entries")
-                    per_source.append(
-                        (s, np.searchsorted(plan.own_gids, g_all[ent]), src))
-                if per_source:
-                    steps.append(per_source)
-            plan.fold_steps = steps
+        # own and received entries fill the slot of every contribution at
+        # a partition's shared points exactly once
+        for t, plan in enumerate(self.plans):
+            n_at = counts[np.searchsorted(uniq, plan.own_gids[plan.shared])]
+            plan.n_ranks = int(n_at.max(initial=0))
+            filled = np.concatenate([plan.ser_slots,
+                                     *plan.recv_slots.values()])
+            if (filled.size != n_at.sum()
+                    or np.unique(filled).size != filled.size):
+                raise ProtocolError(f"partition {t}: own and received entries "
+                                    "do not fill each shared slot once")
 
     # -- runtime pieces ----------------------------------------------------
 
@@ -228,17 +221,22 @@ class PartitionLayout:
                     received: dict[int, np.ndarray]) -> None:
         """Overwrite acc at t's shared points with the canonical full sum."""
         plan = self.plans[t]
-        for u, expect in plan.msg_len_recv.items():
+        n, nv = plan.shared.size, acc.shape[1]
+        if n == 0:                     # one partition: nothing is shared
+            return
+        slots = np.zeros((plan.n_ranks * n, nv))
+        slots[plan.ser_slots] = ser
+        for u, at in plan.recv_slots.items():
             got = received.get(u)
-            if got is None or got.shape[0] != expect:
+            if got is None or got.shape[0] != at.size:
                 raise ProtocolError(
                     f"partition {t}: message from {u} has "
-                    f"{None if got is None else got.shape[0]} entries, expected {expect}")
-        acc[plan.shared] = 0.0
-        for per_source in plan.fold_steps:
-            for s, tgt, src in per_source:
-                buf = ser if s == t else received[s]
-                acc[tgt] += buf[src]
+                    f"{None if got is None else got.shape[0]} entries, "
+                    f"expected {at.size}")
+            slots[at] = got
+        # rank by rank from +0.0, as the serial sum runs at every point
+        acc[plan.shared] = sum(slots.reshape(plan.n_ranks, n, nv),
+                               np.zeros((n, nv)))
 
     def exchange(self, t: int, contrib: np.ndarray,
                  mail: "Mailboxes") -> np.ndarray:
@@ -280,7 +278,7 @@ class Mailboxes:
     def wait(self, t: int) -> dict[int, np.ndarray]:
         """Block until every neighbour's message to t is in."""
         received = {}
-        for s in self.plans[t].msg_len_recv:
+        for s in self.plans[t].recv_slots:
             received[s] = self.fifo[s, t].get()
             if received[s] is None:
                 raise NeighborStopped(f"partition {s} stopped")

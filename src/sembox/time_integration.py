@@ -96,11 +96,6 @@ def verify_order_conditions(scheme: RkScheme) -> dict:
     }
 
 
-def forward_euler_scheme() -> RkScheme:
-    """One-stage scheme; fails the second-order condition (for checks)."""
-    return RkScheme(stages=1, order=1, alpha=(((0, 1.0),),), beta=((0, 1.0),))
-
-
 def rk_step(state, dt: float, rhs_fn, scheme: RkScheme | None = None,
             filter_fn=None, boundary_fn=None):
     """Advance one step: five RHS stages, then the filter pass.

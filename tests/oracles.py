@@ -1,20 +1,26 @@
-"""Chain-rule element kernel: the reference the engine's kernel is tested
-against.
+"""Reference implementations the tests check the engine against.
 
-The engine evaluates the divergence in contravariant form (rotate the
-flux with the metric cofactor, then one contraction per direction and
-variable).  This module keeps the physical form it replaced: the
+Chain-rule element kernel: the engine evaluates the divergence in
+contravariant form (rotate the flux with the metric cofactor, then one
+contraction per direction and variable).  This module keeps the
+physical form it replaced: the
 (E, n, n, n, 5, 3) flux tensor, all fifteen components differentiated
 along each of the three reference directions, and the inverse Jacobian
 applied by the chain rule.  On affine elements the two agree to
 round-off; ``mapped_box_mesh`` builds elements where they do not.
+
+The small helpers at the end evaluate, by definition, what the engine
+computes in bulk: a Lagrange cardinal polynomial, the mass integral, a
+column's elements, the forward Euler scheme, and the CSV table read back.
 """
 
 import numpy as np
 
 from sembox.dynamics import pressure
 from sembox.mesh import build_box_mesh
+from sembox.perf_model import SCHEME_LABELS
 from sembox.storage import N_VARS
+from sembox.time_integration import RkScheme
 
 
 def mapped_box_mesh():
@@ -104,3 +110,44 @@ def rhs_element_contributions(state_el, ra_el, metrics, ref, const,
     div = flux_divergence(flux(state, p_prime), metrics, ref)
     div[..., 3] += (state[..., 0] - ra[..., 0]) * const.gravity
     return div * -metrics.jw[..., None]
+
+
+def lagrange_eval(points, i: int, xi: float) -> float:
+    """Value of the i-th Lagrange cardinal polynomial at ``xi``."""
+    points = np.asarray(points, dtype=float)
+    if not 0 <= i < points.size:
+        raise IndexError(f"node index {i} out of range for {points.size} points")
+    val = 1.0
+    for m, xm in enumerate(points):
+        if m != i:
+            val *= (xi - xm) / (points[i] - xm)
+    return val
+
+
+def total_mass(state_cg, numbering) -> float:
+    """Mass integral sum(M_g * rho_g) over the domain."""
+    return float(numbering.mass @ state_cg[:, 0])
+
+
+def elements_of_column(mesh, c: int) -> range:
+    """Element ids of column c, bottom to top."""
+    return range(int(mesh.col_elem_start[c]), int(mesh.col_elem_start[c + 1]))
+
+
+def forward_euler_scheme() -> RkScheme:
+    """One-stage scheme; fails the second-order condition."""
+    return RkScheme(stages=1, order=1, alpha=(((0, 1.0),),), beta=((0, 1.0),))
+
+
+def parse_csv(text: str) -> dict:
+    """Inverse of ``perf_model.emit_csv`` (labels back to scheme keys)."""
+    lines = [ln for ln in text.strip().splitlines() if ln]
+    labels = lines[0].split(",")[1:]
+    inv = {v: k for k, v in SCHEME_LABELS.items()}
+    out = {inv[lab]: {} for lab in labels}
+    for ln in lines[1:]:
+        parts = ln.split(",")
+        row = parts[0]
+        for lab, val in zip(labels, parts[1:]):
+            out[inv[lab]][row] = float(val)
+    return out

@@ -9,12 +9,12 @@ from sembox.storage import (N_VARS, SCHEME_CG, SCHEME_DG, ReferenceAtmosphere,
 from sembox.dynamics import (
     Discretization, DivergedStateError, GasConstants, StateValidityError,
     apply_boundary, apply_filter, create_rhs, element_pressure, element_soa,
-    pressure, rhs_element_contributions, total_mass,
+    pressure, rhs_element_contributions,
 )
 from sembox.harness import BubbleConfig, build_discretization, init_bubble
 
 import oracles
-from oracles import flux, local_derivative
+from oracles import flux, local_derivative, total_mass
 
 CONST = GasConstants()
 

@@ -8,7 +8,7 @@ from sembox.mesh import (
     morton_decode, morton_encode, partition_columns, partition_quality,
     summary_text,
 )
-from oracles import inverse_jacobian, mapped_box_mesh
+from oracles import elements_of_column, inverse_jacobian, mapped_box_mesh
 
 
 @pytest.fixture(scope="module")
@@ -67,7 +67,7 @@ class TestBuildBoxMesh:
     def test_column_elements_bottom_to_top(self):
         m = build_box_mesh(2, 2, 4, 1.0, 1.0, 8.0)
         for c in range(m.n_columns):
-            elems = list(m.elements_of_column(c))
+            elems = list(elements_of_column(m, c))
             z_lo = m.vertices[elems, 0, 0, 0, 2]
             assert np.all(np.diff(z_lo) > 0)
 

@@ -8,10 +8,11 @@ from sembox.perf_model import (
     BUBBLE_CALIBRATIONS, BUBBLE_CONFIG, PLANETARY_CONFIG, PRESET_SHEETS,
     Calibration, KernelCost, MachineModel, SimConfig, contraction_flops,
     count_costs, derived_columns, emit_csv, emit_table, fit_calibration,
-    line_inflation, model_table, order_sweep, parse_csv, percent_max,
+    line_inflation, model_table, order_sweep, percent_max,
     percent_peak, random_access_penalty, roofline_time, sheet_table,
     working_set_bytes,
 )
+from oracles import parse_csv
 
 MACHINE = MachineModel()
 RAW_BUBBLE = replace(BUBBLE_CONFIG, calibration=Calibration())

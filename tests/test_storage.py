@@ -141,14 +141,18 @@ class TestPartitionedAssembly:
         ref, mesh, metrics, num = setup443
         rng = np.random.default_rng(5)
         contrib = rng.standard_normal((mesh.n_elements, 64, N_VARS))
-        serial = dss(contrib, num)
+        # both sums start from +0.0, so a point whose contributions are all
+        # -0.0 assembles to +0.0; np.array_equal cannot see a sign flip
+        signed_zeros = np.where(rng.random(contrib.shape) < 0.3, -0.0, contrib)
         parts = partition_columns(mesh, n_parts)
         layout = PartitionLayout(mesh, num, parts)
-        outs = halo_exchange(layout, [contrib[p.elem_start:p.elem_stop]
-                                      for p in parts])
-        for t, part in enumerate(parts):
-            own = layout.plans[t].own_gids
-            assert np.array_equal(outs[t], serial[own])
+        for c in (contrib, signed_zeros):
+            serial = dss(c, num)
+            outs = halo_exchange(layout, [c[p.elem_start:p.elem_stop]
+                                          for p in parts])
+            for t, out in enumerate(outs):
+                own = layout.plans[t].own_gids
+                assert out.tobytes() == serial[own].tobytes()
 
     @pytest.mark.parametrize("n_parts", [1, 2, 4])
     def test_outputs_hold_local_points_only(self, setup443, n_parts):
@@ -205,11 +209,11 @@ class TestPartitionedAssembly:
                 if t == u:
                     continue
                 sends = u in layout.plans[t].msg_send
-                recvs = t in layout.plans[u].msg_len_recv
+                recvs = t in layout.plans[u].recv_slots
                 assert sends == recvs
                 if sends:
                     assert (layout.plans[t].msg_send[u].size
-                            == layout.plans[u].msg_len_recv[t])
+                            == layout.plans[u].recv_slots[t].size)
 
     def test_protocol_error_on_bad_length(self, setup443):
         _, mesh, _, num = setup443
@@ -218,9 +222,9 @@ class TestPartitionedAssembly:
         contrib = np.zeros((parts[0].n_elements, 64, N_VARS))
         ser = layout.serialize_shared(0, contrib)
         acc = layout.accumulate_own(0, contrib)
-        bad = {1: np.zeros((3, N_VARS))}
-        with pytest.raises(ProtocolError):
-            layout.fold_shared(0, acc, ser, bad)
+        for bad in ({1: np.zeros((3, N_VARS))}, {}):
+            with pytest.raises(ProtocolError):
+                layout.fold_shared(0, acc, ser, bad)
 
 
 class TestRestrict:

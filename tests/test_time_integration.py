@@ -6,9 +6,10 @@ import pytest
 from sembox.dynamics import GasConstants
 from sembox.harness import BubbleConfig, build_discretization
 from sembox.time_integration import (
-    DEFAULT_SCHEME, RkScheme, TimestepControl, compute_dt,
-    forward_euler_scheme, rk_step, verify_order_conditions,
+    DEFAULT_SCHEME, RkScheme, TimestepControl, compute_dt, rk_step,
+    verify_order_conditions,
 )
+from oracles import forward_euler_scheme
 
 CONST = GasConstants()
 
