@@ -4,9 +4,10 @@ Subcommands: ``mesh`` (build/partition/report), ``run`` (bubble
 simulation), ``scale`` (worker sweep), ``perfmodel`` (cost tables),
 ``sweep-order`` (runtime vs polynomial order).  A flat key=value config
 file can seed any run option; explicit flags win.  Exit codes: 0 on
-success, 2 on configuration or usage errors, 3 on a diverged run, 4 on
-a fault inside a worker of the run (an internal error, reported with
-its partition and step).
+success, 2 on configuration or usage errors (a missing or unreadable
+config or scenario file included), 3 on a diverged run, 4 on a fault
+inside a worker of the run (an internal error, reported with its
+partition and step).
 """
 
 import argparse
@@ -31,7 +32,9 @@ EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 EXIT_FAULT = 4
 
-# config-file keys accepted by `run` and `scale` (flat key=value text)
+# the one table of `run`/`scale` options: config key -> (BubbleConfig
+# field, index into a tuple field or None, type); the keys in
+# _BUBBLE_FLAGS also get a flag, spelled with dashes
 _BUBBLE_KEYS = {
     "lx": ("extents", 0, float), "ly": ("extents", 1, float),
     "lz": ("extents", 2, float),
@@ -49,72 +52,83 @@ _BUBBLE_KEYS = {
     "snapshot_every": ("snapshot_every", None, int),
     "warmup_steps": ("warmup_steps", None, int),
 }
+_BUBBLE_FLAGS = ("nx", "ny", "layers", "order", "steps", "end_time", "scheme",
+                 "theta0", "theta_pert", "radius", "courant_h", "courant_v",
+                 "filter_mu")
+
+# `perfmodel --scenario` keys, in the same form, onto SimConfig
+_SCENARIO_KEYS = {
+    "order": ("order", None, int), "nx": ("elements", 0, float),
+    "ny": ("elements", 1, float), "nz": ("elements", 2, float),
+    "machines": ("machines", None, int), "timesteps": ("timesteps", None, int),
+    "stages": ("stages", None, int), "metric_scheme": ("metric_scheme", None, str),
+}
+# float elements, so a scenario prints (100.0, 264.0, 396.0) for nx = 100
+_SCENARIO_BASE = SimConfig(elements=(264.0, 264.0, 396.0))
 
 
 def load_config_file(path) -> dict:
     """Flat key=value text; blank lines and # comments ignored."""
+    try:
+        with open(path) as f:
+            lines = f.readlines()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from None
     values = {}
-    with open(path) as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value")
-            key, _, val = line.partition("=")
-            values[key.strip()] = val.strip()
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value")
+        key, _, val = line.partition("=")
+        values[key.strip()] = val.strip()
     return values
 
 
-def bubble_config_from(args, file_values: dict) -> BubbleConfig:
-    cfg = BubbleConfig()
-    extents = list(cfg.extents)
-    center = list(cfg.center)
-    for key, raw in file_values.items():
-        if key not in _BUBBLE_KEYS:
-            raise ConfigError(f"unknown config key {key!r}")
-        attr, idx, typ = _BUBBLE_KEYS[key]
-        val = typ(raw)
-        if attr == "extents":
-            extents[idx] = val
-        elif attr == "center":
-            center[idx] = val
+def config_from(base, keys: dict, values: dict, kind: str = "config"):
+    """``base`` with ``values`` (key -> raw value) applied through ``keys``."""
+    fields = {}
+    for key, raw in values.items():
+        if key not in keys:
+            raise ConfigError(f"unknown {kind} key {key!r}")
+        attr, idx, typ = keys[key]
+        if idx is None:
+            fields[attr] = typ(raw)
         else:
-            cfg = replace(cfg, **{attr: val})
-    if "end_time" in file_values and "steps" not in file_values:
-        cfg = replace(cfg, n_steps=None)  # duration given by model time
-    cfg = replace(cfg, extents=tuple(extents), center=tuple(center))
-    overrides = {}
-    for name in ("nx", "ny", "layers", "order", "scheme", "snapshot_every",
-                 "theta0", "theta_pert", "radius", "courant_h", "courant_v",
-                 "filter_mu"):
-        val = getattr(args, name, None)
-        if val is not None:
-            overrides[name] = val
-    if getattr(args, "steps", None) is not None:
-        overrides["n_steps"] = args.steps
-    if getattr(args, "end_time", None) is not None:
-        overrides["n_steps"] = None
-        overrides["end_time"] = args.end_time
-    return replace(cfg, **overrides).validate()
+            seq = list(fields.get(attr, getattr(base, attr)))
+            seq[idx] = typ(raw)
+            fields[attr] = tuple(seq)
+    return replace(base, **fields)
 
 
-def _add_bubble_flags(sub):
-    sub.add_argument("--config", help="flat key=value config file")
-    sub.add_argument("--nx", type=int)
-    sub.add_argument("--ny", type=int)
-    sub.add_argument("--layers", type=int)
-    sub.add_argument("--order", type=int)
-    sub.add_argument("--steps", type=int)
-    sub.add_argument("--end-time", dest="end_time", type=float)
-    sub.add_argument("--scheme", choices=ENGINE_SCHEMES)
-    sub.add_argument("--theta0", type=float)
-    sub.add_argument("--theta-pert", dest="theta_pert", type=float)
-    sub.add_argument("--radius", type=float)
-    sub.add_argument("--courant-h", dest="courant_h", type=float)
-    sub.add_argument("--courant-v", dest="courant_v", type=float)
-    sub.add_argument("--filter-mu", dest="filter_mu", type=float)
-    sub.add_argument("--out", help="output directory for CSV/snapshots")
+def bubble_config_from(args) -> BubbleConfig:
+    """The config file, then the flags, each applied as one source.
+
+    A source that sets end_time without steps runs for model time; one
+    that sets both keeps the step count.
+    """
+    flags = {key: getattr(args, key) for key in _BUBBLE_KEYS
+             if getattr(args, key, None) is not None}
+    cfg = BubbleConfig()
+    for values in (load_config_file(args.config) if args.config else {}, flags):
+        cfg = config_from(cfg, _BUBBLE_KEYS, values)
+        if "end_time" in values and "steps" not in values:
+            cfg = replace(cfg, n_steps=None)
+    return cfg.validate()
+
+
+def _add_key_flags(sub, keys):
+    for key in keys:
+        kind = ({"choices": ENGINE_SCHEMES} if key == "scheme"
+                else {"type": _BUBBLE_KEYS[key][2]})
+        sub.add_argument("--" + key.replace("_", "-"), dest=key, **kind)
+
+
+def _write_out(out_dir, name: str, text: str):
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, name), "w") as f:
+        f.write(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -134,14 +148,15 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--lz", type=float, default=1000.0)
 
     r = sub.add_parser("run", help="run the rising-bubble simulation")
-    _add_bubble_flags(r)
+    s = sub.add_parser("scale", help="strong-scaling sweep over worker counts")
+    for b in (r, s):
+        b.add_argument("--config", help="flat key=value config file")
+        _add_key_flags(b, _BUBBLE_FLAGS)
+        b.add_argument("--out", help="output directory for CSV/snapshots")
     r.add_argument("--parts", type=int, default=1)
     r.add_argument("--snapshot", action="store_true",
                    help="write binary state snapshots (implies an --out dir)")
-    r.add_argument("--snapshot-every", dest="snapshot_every", type=int)
-
-    s = sub.add_parser("scale", help="strong-scaling sweep over worker counts")
-    _add_bubble_flags(s)
+    _add_key_flags(r, ("snapshot_every",))
     s.add_argument("--parts", default="1,2,4,8",
                    help="comma-separated worker counts")
 
@@ -181,8 +196,7 @@ def cmd_mesh(args) -> int:
 
 
 def cmd_run(args) -> int:
-    file_values = load_config_file(args.config) if args.config else {}
-    cfg = bubble_config_from(args, file_values)
+    cfg = bubble_config_from(args)
     out = args.out
     if args.snapshot and out is None:
         out = "sembox_out"
@@ -195,8 +209,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_scale(args) -> int:
-    file_values = load_config_file(args.config) if args.config else {}
-    cfg = bubble_config_from(args, file_values)
+    cfg = bubble_config_from(args)
     if cfg.snapshot_every:
         raise ConfigError("scale writes no snapshots: remove snapshot_every")
     counts = [int(x) for x in str(args.parts).split(",") if x]
@@ -207,31 +220,8 @@ def cmd_scale(args) -> int:
         return EXIT_DIVERGED
     print(scale_table(points))
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "scaling.csv"), "w") as f:
-            f.write(scale_csv(points))
+        _write_out(args.out, "scaling.csv", scale_csv(points))
     return EXIT_OK
-
-
-_SCENARIO_KEYS = {"order": int, "nx": float, "ny": float, "nz": float,
-                  "machines": int, "timesteps": int, "stages": int,
-                  "metric_scheme": str}
-
-
-def scenario_config(path) -> SimConfig:
-    values = load_config_file(path)
-    fields = {}
-    elements = dict(nx=264.0, ny=264.0, nz=396.0)
-    for key, raw in values.items():
-        if key not in _SCENARIO_KEYS:
-            raise ConfigError(f"unknown scenario key {key!r}")
-        val = _SCENARIO_KEYS[key](raw)
-        if key in elements:
-            elements[key] = val
-        else:
-            fields[key] = val
-    return SimConfig(elements=(elements["nx"], elements["ny"], elements["nz"]),
-                     **fields)
 
 
 def cmd_perfmodel(args) -> int:
@@ -242,7 +232,8 @@ def cmd_perfmodel(args) -> int:
         title = PRESET_SHEETS[args.preset].description
     else:
         if args.scenario:
-            config = scenario_config(args.scenario)
+            config = config_from(_SCENARIO_BASE, _SCENARIO_KEYS,
+                                 load_config_file(args.scenario), "scenario")
         elif args.preset == "bubble":
             config = BUBBLE_CONFIG
         elif args.preset == "planetary":
@@ -259,9 +250,7 @@ def cmd_perfmodel(args) -> int:
                  f"{config.timesteps} steps on {config.machines} machines")
     print(emit_table(results, title))
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "perfmodel.csv"), "w") as f:
-            f.write(emit_csv(results))
+        _write_out(args.out, "perfmodel.csv", emit_csv(results))
     return EXIT_OK
 
 
@@ -277,9 +266,7 @@ def cmd_sweep_order(args) -> int:
     text = "\n".join(lines)
     print(text)
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "order_sweep.csv"), "w") as f:
-            f.write(text + "\n")
+        _write_out(args.out, "order_sweep.csv", text + "\n")
     return EXIT_OK
 
 

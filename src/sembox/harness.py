@@ -73,7 +73,8 @@ class BubbleConfig:
     filter_mu: float = 0.05
     filter_s: int = 12
     filter_cutoff: int | None = None
-    scheme: str = SCHEME_CG
+    scheme: str = SCHEME_CG        # cg or dg: state at unique points either
+                                   # way; dg evaluates pressure per element node
     snapshot_every: int = 0
     warmup_steps: int = 1
 
@@ -430,7 +431,7 @@ def run_bubble(config: BubbleConfig, n_partitions: int = 1,
                               courant_v=config.courant_v,
                               end_time=config.end_time, n_steps=config.n_steps)
     dt = compute_dt(state0, disc, const, control)
-    n_steps = control.steps_for(dt) if config.n_steps is None else config.n_steps
+    n_steps = control.steps_for(dt)
 
     parts = partition_columns(disc.mesh, n_partitions)
     layout = PartitionLayout(disc.mesh, disc.numbering, parts)

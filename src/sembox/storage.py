@@ -23,9 +23,13 @@ at its point -- and the slots are summed rank by rank.
 pair), used by the run's workers and by :func:`halo_exchange` alike.
 It returns partition-local arrays: one row per point the partition's
 elements touch, in ascending global order (``plans[t].own_gids``); one
-partition is the whole mesh.  The
-engine runs the CG and DG layouts; the hybrid (``cg-dg``) is priced by
-the performance model only.
+partition is the whole mesh.
+
+The engine keeps its state in CG storage under both of its schemes;
+element kernels read DG-layout blocks gathered from it.  The ``dg``
+scheme differs only in evaluating the pressure per duplicated element
+node instead of once per unique point.  The hybrid (``cg-dg``) is priced
+by the performance model only.
 """
 
 from concurrent.futures import ThreadPoolExecutor

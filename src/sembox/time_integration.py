@@ -15,7 +15,7 @@ configuration here is fully explicit.  The partition workers in
 pins their result to this one bit for bit.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
 
 import numpy as np
@@ -143,7 +143,6 @@ class TimestepControl:
     courant_v: float = 0.7
     end_time: float | None = None
     n_steps: int | None = None
-    dt: float = field(default=0.0, init=False)
 
     def steps_for(self, dt: float) -> int:
         if self.n_steps is not None:

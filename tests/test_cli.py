@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 
 from sembox.cli import (main, load_config_file, EXIT_CONFIG, EXIT_DIVERGED,
@@ -276,3 +278,194 @@ class TestUsage:
     def test_help_exits_zero(self, capsys):
         code, _, _ = run_cli(capsys, "--help")
         assert code == 0
+
+
+# parser surface per subcommand, in declaration order:
+# (option string, dest, type, choices, default)
+_HELP = ("-h", "help", None, None, "==SUPPRESS=="), \
+    ("--help", "help", None, None, "==SUPPRESS==")
+_BUBBLE_FLAGS = (
+    ("--config", "config", None, None, None),
+    ("--nx", "nx", int, None, None),
+    ("--ny", "ny", int, None, None),
+    ("--layers", "layers", int, None, None),
+    ("--order", "order", int, None, None),
+    ("--steps", "steps", int, None, None),
+    ("--end-time", "end_time", float, None, None),
+    ("--scheme", "scheme", None, ("cg", "dg"), None),
+    ("--theta0", "theta0", float, None, None),
+    ("--theta-pert", "theta_pert", float, None, None),
+    ("--radius", "radius", float, None, None),
+    ("--courant-h", "courant_h", float, None, None),
+    ("--courant-v", "courant_v", float, None, None),
+    ("--filter-mu", "filter_mu", float, None, None),
+    ("--out", "out", None, None, None),
+)
+PARSER_SURFACE = {
+    "mesh": _HELP + (
+        ("--nx", "nx", int, None, 4),
+        ("--ny", "ny", int, None, 4),
+        ("--layers", "layers", int, None, 3),
+        ("--order", "order", int, None, 3),
+        ("--parts", "parts", int, None, 1),
+        ("--lx", "lx", float, None, 1000.0),
+        ("--ly", "ly", float, None, 1000.0),
+        ("--lz", "lz", float, None, 1000.0),
+    ),
+    "run": _HELP + _BUBBLE_FLAGS + (
+        ("--parts", "parts", int, None, 1),
+        ("--snapshot", "snapshot", None, None, False),
+        ("--snapshot-every", "snapshot_every", int, None, None),
+    ),
+    "scale": _HELP + _BUBBLE_FLAGS + (
+        ("--parts", "parts", None, None, "1,2,4,8"),
+    ),
+    "perfmodel": _HELP + (
+        ("--preset", "preset", None,
+         ("table1", "table2", "table3", "bubble", "planetary"), None),
+        ("--scenario", "scenario", None, None, None),
+        ("--elements", "elements", None, None, None),
+        ("--order", "order", int, None, 3),
+        ("--machines", "machines", int, None, 768),
+        ("--timesteps", "timesteps", int, None, 690),
+        ("--penalty", "penalty", None, ("auto", "on", "off"), "auto"),
+        ("--bandwidth", "bandwidth", float, None, 28.5e9),
+        ("--peak", "peak", float, None, 204.8e9),
+        ("--cache-line", "cache_line", int, None, 128),
+        ("--l2", "l2", float, None, 32 * 2 ** 20),
+        ("--out", "out", None, None, None),
+    ),
+    "sweep-order": _HELP + (
+        ("--pmin", "pmin", int, None, 1),
+        ("--pmax", "pmax", int, None, 7),
+        ("--penalized", "penalized", None, None, False),
+        ("--calibrated", "calibrated", None, None, False),
+        ("--out", "out", None, None, None),
+    ),
+}
+
+
+class TestParserSurface:
+    """Flag names, dests, types, choices and defaults stay as they are."""
+
+    @staticmethod
+    def subparsers():
+        import argparse
+        from sembox.cli import build_parser
+        ap = build_parser()
+        action = next(a for a in ap._actions
+                      if isinstance(a, argparse._SubParsersAction))
+        return action.choices
+
+    def test_subcommands(self):
+        assert list(self.subparsers()) == list(PARSER_SURFACE)
+
+    @pytest.mark.parametrize("command", list(PARSER_SURFACE))
+    def test_options(self, command):
+        surface = tuple(
+            (opt, a.dest, a.type,
+             None if a.choices is None else tuple(a.choices), a.default)
+            for a in self.subparsers()[command]._actions
+            for opt in a.option_strings)
+        assert surface == PARSER_SURFACE[command]
+
+
+class TestConfigKeys:
+    def test_every_bubble_key(self, capsys, tmp_path, monkeypatch):
+        from sembox import cli
+        from sembox.harness import BubbleConfig
+        seen = []
+
+        def fake_run(cfg, n_partitions, out_dir):
+            seen.append(cfg)
+            return SimpleNamespace(summary=lambda: "ok", failed_step=None), None
+
+        monkeypatch.setattr(cli, "run_bubble", fake_run)
+        cfg = tmp_path / "all.cfg"
+        cfg.write_text(
+            "lx = 1200\nly = 900\nlz = 800\ntheta0 = 290\ntheta_pert = 0.75\n"
+            "radius = 200\ncx = 600\ncy = 450\ncz = 300\nnx = 3\nny = 5\n"
+            "layers = 4\norder = 4\ncourant_h = 0.3\ncourant_v = 0.5\n"
+            "end_time = 12.5\nsteps = 6\nfilter_mu = 0.1\nfilter_s = 8\n"
+            "filter_cutoff = 2\nscheme = dg\nsnapshot_every = 3\n"
+            "warmup_steps = 2\n")
+        code, out, _ = run_cli(capsys, "run", "--config", str(cfg),
+                               "--out", str(tmp_path))
+        assert code == EXIT_OK
+        assert seen == [BubbleConfig(
+            extents=(1200.0, 900.0, 800.0), theta0=290.0, theta_pert=0.75,
+            radius=200.0, center=(600.0, 450.0, 300.0), nx=3, ny=5, layers=4,
+            order=4, courant_h=0.3, courant_v=0.5, end_time=12.5, n_steps=6,
+            filter_mu=0.1, filter_s=8, filter_cutoff=2, scheme="dg",
+            snapshot_every=3, warmup_steps=2)]
+
+    def test_every_scenario_key(self, capsys, tmp_path, monkeypatch):
+        from sembox import cli
+        from sembox.perf_model import SimConfig
+        seen = []
+        real = cli.model_table
+
+        def spy(config, *args, **kwargs):
+            seen.append(config)
+            return real(config, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "model_table", spy)
+        scn = tmp_path / "case.cfg"
+        scn.write_text("order = 4\nnx = 100\nny = 80\nnz = 50\nmachines = 16\n"
+                       "timesteps = 200\nstages = 3\nmetric_scheme = recompute\n")
+        code, out, _ = run_cli(capsys, "perfmodel", "--scenario", str(scn))
+        assert code == EXIT_OK
+        assert seen == [SimConfig(order=4, elements=(100.0, 80.0, 50.0),
+                                  machines=16, timesteps=200, stages=3,
+                                  metric_scheme="recompute")]
+        assert out.splitlines()[0] == ("analytic ledger: p=4, elements="
+                                       "(100.0, 80.0, 50.0), 200 steps on "
+                                       "16 machines")
+
+    def test_partial_scenario_keeps_float_elements(self, capsys, tmp_path):
+        scn = tmp_path / "case.cfg"
+        scn.write_text("nx = 100\nmachines = 4\ntimesteps = 10\n")
+        code, out, _ = run_cli(capsys, "perfmodel", "--scenario", str(scn))
+        assert code == EXIT_OK
+        assert out.splitlines()[0] == ("analytic ledger: p=3, elements="
+                                       "(100.0, 264.0, 396.0), 10 steps on "
+                                       "4 machines")
+
+    @pytest.mark.parametrize("command,flag", [("run", "--config"),
+                                              ("scale", "--config"),
+                                              ("perfmodel", "--scenario")])
+    def test_missing_file_exits_2(self, capsys, tmp_path, command, flag):
+        code, _, err = run_cli(capsys, command, flag,
+                               str(tmp_path / "absent.cfg"))
+        assert code == EXIT_CONFIG
+        assert err.startswith("error:") and "absent.cfg" in err
+
+    def test_steps_win_over_end_time_in_flags_and_file(self, capsys,
+                                                       tmp_path):
+        # dt is ~0.16 s here: end_time alone would give 2 steps
+        mesh = ["--nx", "2", "--ny", "2", "--layers", "2"]
+        code, out, _ = run_cli(capsys, "run", *mesh, "--steps", "3",
+                               "--end-time", "0.3")
+        assert code == EXIT_OK
+        assert "steps: 3" in out
+        cfg = tmp_path / "bubble.cfg"
+        cfg.write_text("steps = 3\nend_time = 0.3\n")
+        code, out, _ = run_cli(capsys, "run", *mesh, "--config", str(cfg))
+        assert code == EXIT_OK
+        assert "steps: 3" in out
+
+    def test_end_time_flag_clears_file_steps(self, capsys, tmp_path):
+        cfg = tmp_path / "bubble.cfg"
+        cfg.write_text("nx=2\nny=2\nlayers=2\nsteps=5\n")
+        code, out, _ = run_cli(capsys, "run", "--config", str(cfg),
+                               "--end-time", "0.3")
+        assert code == EXIT_OK
+        assert "steps: 2" in out
+
+    def test_readme_lists_every_config_key(self):
+        import pathlib
+        import re
+        from sembox.cli import _BUBBLE_KEYS
+        readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+        keys = re.search(r"\(keys: `([^`]*)`", readme).group(1).split()
+        assert sorted(keys) == sorted(_BUBBLE_KEYS)
