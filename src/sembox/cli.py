@@ -212,7 +212,9 @@ def cmd_scale(args) -> int:
     cfg = bubble_config_from(args)
     if cfg.snapshot_every:
         raise ConfigError("scale writes no snapshots: remove snapshot_every")
-    counts = [int(x) for x in str(args.parts).split(",") if x]
+    counts = [int(x) for x in str(args.parts).split(",") if x.strip()]
+    if not counts:
+        raise ConfigError(f"--parts {args.parts!r} names no worker count")
     try:
         points = scale_experiment(cfg, counts)
     except DivergedRunError as exc:

@@ -14,7 +14,8 @@ exchange sequence are the serial operators' own code (``dynamics``,
 ``PartitionLayout.exchange``) run on those local arrays, so any worker
 count gives ``rk_step`` over ``create_rhs`` bit for bit.  A worker that
 stops aborts its mailboxes, which stops the neighbours waiting on it in
-turn; a fault is raised by ``run_bubble``.
+turn, and a worker whose halo message is lost stops with
+``storage.MessageLost``; a fault is raised by ``run_bubble``.
 """
 
 from dataclasses import dataclass

@@ -249,7 +249,9 @@ class CgNumbering:
     (element index * p + local index), so no geometric snap tolerance is
     involved.  ``color_batches`` groups elements into eight parity classes
     such that no two elements of a class share a grid point; batch order
-    is the canonical summation order of the assembly.  ``lattice_dims``
+    defines the canonical summation order of the assembly, and
+    :attr:`assembly_plan` runs that order as dense rank-by-rank adds.
+    ``lattice_dims``
     describes the whole mesh; a partition's numbering (:meth:`restrict`)
     keeps it, so there ``n_unique`` is smaller than its product.
     """
@@ -270,9 +272,32 @@ class CgNumbering:
         return (self.order + 1) ** 3
 
     @cached_property
-    def batch_targets(self) -> list:
-        """Flattened point ids of each color batch's nodes."""
-        return [self.global_ids[b].ravel() for b in self.color_batches]
+    def assembly_plan(self) -> tuple[np.ndarray, list]:
+        """(point_pos, chunks): the color-batch order, rank-major.
+
+        An entry (element node, flat id ``elem * n^3 + node``) has rank r
+        if it is the r-th at its point in color order.  Points are sorted
+        by how many entries they have, most first (stable), and
+        ``point_pos`` is each point's place in that order.  ``chunks[r]``
+        holds the flat ids of the rank-r entries in ``point_pos`` order:
+        one per point with more than r entries, so each chunk covers a
+        prefix of the sorted points.  Built on first use.
+        """
+        nn = self.n_node_per_elem
+        gids = self.global_ids.ravel()
+        count = np.zeros(self.n_unique, dtype=np.int64)
+        rank = np.empty(gids.size, dtype=np.int64)
+        for batch in self.color_batches:
+            ids = (batch[:, None] * nn + np.arange(nn)).ravel()
+            tgt = gids[ids]
+            rank[ids] = count[tgt]
+            count[tgt] += 1            # a batch touches each point once
+        point_pos = np.empty(self.n_unique, dtype=np.intp)
+        point_pos[np.argsort(-count, kind="stable")] = np.arange(self.n_unique)
+        start = np.concatenate(([0], np.cumsum(np.bincount(rank))))
+        entries = np.empty(gids.size, dtype=np.intp)
+        entries[start[rank] + point_pos[gids]] = np.arange(gids.size)
+        return point_pos, [entries[a:b] for a, b in zip(start[:-1], start[1:])]
 
     def restrict(self, start: int, stop: int):
         """Numbering of the points elements [start, stop) touch.

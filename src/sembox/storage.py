@@ -11,12 +11,13 @@ Assembly (DSS) sums the weighted per-element contributions at every
 grid point and multiplies by the inverse of the diagonal mass matrix.
 The summation follows one canonical order everywhere -- ascending
 (element color, element id) -- so runs with different partition counts
-produce bit-identical results: a partition accumulates its elements
-color batch by color batch, as serial assembly does over the whole
-mesh, and contributions at nodes shared between partitions are
-exchanged raw (one value per contributing element) into fixed rank
-slots -- the rank being the contribution's place in that global order
-at its point -- and the slots are summed rank by rank.
+produce bit-identical results.  A contribution's rank is its place in
+that order at its point.  A partition accumulates its elements rank by
+rank from +0.0 (:attr:`CgNumbering.assembly_plan`: one gather per rank,
+added into the prefix of points that have that rank), as serial assembly
+does over the whole mesh, and contributions at nodes shared between
+partitions are exchanged raw (one value per contributing element) into
+fixed rank slots, which are summed rank by rank too.
 
 :meth:`PartitionLayout.exchange` is the one partitioned assembly, and
 :class:`Mailboxes` its one in-process transport (one FIFO per sending
@@ -66,13 +67,19 @@ def gather_bytes(numbering: CgNumbering, n_elements: int) -> tuple[int, int]:
 
 
 def _accumulate(contrib: np.ndarray, numbering: CgNumbering) -> np.ndarray:
-    """Color-batch sum of per-element contributions at each point."""
-    nv = contrib.shape[-1]
-    acc = np.zeros((numbering.n_unique, nv))
-    flat = contrib.reshape(numbering.global_ids.shape[0], -1, nv)
-    for batch, tgt in zip(numbering.color_batches, numbering.batch_targets):
-        acc[tgt] += flat[batch].reshape(-1, nv)
-    return acc
+    """Sum of per-element contributions at each point, in color order.
+
+    Runs :attr:`CgNumbering.assembly_plan`: rank 0 of every point, plus
+    +0.0, then each further rank added into the prefix of points that
+    have it, then the points put back in id order.
+    """
+    point_pos, chunks = numbering.assembly_plan
+    flat = contrib.reshape(-1, contrib.shape[-1])
+    acc = np.take(flat, chunks[0], axis=0)
+    acc += 0.0                     # the sum starts from +0.0
+    for chunk in chunks[1:]:
+        acc[:chunk.size] += np.take(flat, chunk, axis=0)
+    return np.take(acc, point_pos, axis=0)
 
 
 def dss(contrib: np.ndarray, numbering: CgNumbering) -> np.ndarray:
@@ -257,35 +264,59 @@ class PartitionLayout:
         return acc
 
 
+# longest wait, in seconds, for one halo message before it counts as lost
+WAIT_TIMEOUT_S = 60.0
+
+
 class NeighborStopped(RuntimeError):
     """A partition this one waits on stopped before posting."""
+
+
+class MessageLost(ProtocolError):
+    """A halo message did not arrive, or another exchange's came instead."""
 
 
 class Mailboxes:
     """In-process transport: one FIFO per sending pair of partitions.
 
-    Every partition runs the same sequence of exchanges, so the n-th
-    message on a pair belongs to the n-th exchange.  A partition that
-    stops for any reason calls :meth:`abort`; the neighbours waiting on
-    it raise :class:`NeighborStopped`, stop and abort in turn.
+    Every partition runs the same sequence of exchanges, counted from 0;
+    a message carries its sender's count, so one that is lost is noticed
+    at its own exchange, raising :class:`MessageLost` when another
+    exchange's message comes instead or none comes in ``WAIT_TIMEOUT_S``.
+    A partition that stops for any reason calls :meth:`abort`; the
+    neighbours waiting on it raise :class:`NeighborStopped`, stop and
+    abort in turn.
     """
 
     def __init__(self, layout: PartitionLayout):
         self.plans = layout.plans
         self.fifo = {(t, u): queue.SimpleQueue()
                      for t, plan in enumerate(self.plans) for u in plan.msg_send}
+        self.n_posts = [0] * len(self.plans)
+        self.n_waits = [0] * len(self.plans)
 
     def post(self, t: int, messages: dict[int, np.ndarray]) -> None:
         for u, msg in messages.items():
-            self.fifo[t, u].put(msg)
+            self.fifo[t, u].put((self.n_posts[t], msg))
+        self.n_posts[t] += 1
 
     def wait(self, t: int) -> dict[int, np.ndarray]:
         """Block until every neighbour's message to t is in."""
+        exchange = self.n_waits[t]
+        self.n_waits[t] += 1
         received = {}
         for s in self.plans[t].recv_slots:
-            received[s] = self.fifo[s, t].get()
-            if received[s] is None:
+            lost = f"message {s} -> {t} of exchange {exchange} lost"
+            try:
+                item = self.fifo[s, t].get(timeout=WAIT_TIMEOUT_S)
+            except queue.Empty:
+                raise MessageLost(f"{lost}: none came in {WAIT_TIMEOUT_S} s"
+                                  ) from None
+            if item is None:
                 raise NeighborStopped(f"partition {s} stopped")
+            if item[0] != exchange:
+                raise MessageLost(f"{lost}: exchange {item[0]}'s came instead")
+            received[s] = item[1]
         return received
 
     def abort(self, t: int) -> None:

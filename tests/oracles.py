@@ -10,8 +10,9 @@ applied by the chain rule.  On affine elements the two agree to
 round-off; ``mapped_box_mesh`` builds elements where they do not.
 
 The small helpers at the end evaluate, by definition, what the engine
-computes in bulk: a Lagrange cardinal polynomial, the mass integral, a
-column's elements, the forward Euler scheme, and the CSV table read back.
+computes in bulk: the color-batch assembly loop, a Lagrange cardinal
+polynomial, the mass integral, a column's elements, the forward Euler
+scheme, and the CSV table read back.
 """
 
 import numpy as np
@@ -110,6 +111,17 @@ def rhs_element_contributions(state_el, ra_el, metrics, ref, const,
     div = flux_divergence(flux(state, p_prime), metrics, ref)
     div[..., 3] += (state[..., 0] - ra[..., 0]) * const.gravity
     return div * -metrics.jw[..., None]
+
+
+def accumulate_by_color(contrib, numbering) -> np.ndarray:
+    """Per-point sum of element contributions, one scatter-add per color
+    batch in color order from +0.0: the canonical order by definition."""
+    nv = contrib.shape[-1]
+    acc = np.zeros((numbering.n_unique, nv))
+    flat = contrib.reshape(numbering.global_ids.shape[0], -1, nv)
+    for batch in numbering.color_batches:
+        acc[numbering.global_ids[batch].ravel()] += flat[batch].reshape(-1, nv)
+    return acc
 
 
 def lagrange_eval(points, i: int, xi: float) -> float:

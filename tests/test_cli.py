@@ -198,6 +198,15 @@ class TestScaleCommand:
         assert "efficiency" not in out
         assert not (tmp_path / "scaling.csv").exists()
 
+    @pytest.mark.parametrize("parts", [",", "", " , "])
+    def test_parts_without_a_count_exits_2(self, capsys, parts):
+        code, out, err = run_cli(capsys, "scale", "--nx", "2", "--ny", "2",
+                                 "--layers", "2", "--steps", "2",
+                                 "--parts", parts)
+        assert code == EXIT_CONFIG
+        assert "error: --parts" in err
+        assert "efficiency" not in out
+
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_snapshot_cadence_exits_2(self, capsys, tmp_path, source):
         # scale writes no snapshots, so a cadence asks for nothing it does

@@ -272,6 +272,42 @@ class TestWorkerFaults:
         assert "raised ['partition 7, step 1']" in proc.stdout
 
 
+# run in a subprocess by the run_python fixture (conftest.py)
+LOST_MESSAGE_SCRIPT = """
+from sembox import harness, storage
+
+class DropOne(storage.Mailboxes):
+    # loses partition 1's message to partition 0 in exchange {lost}
+    def post(self, t, messages):
+        if t == 1 and self.n_posts[1] == {lost}:
+            messages = {{u: m for u, m in messages.items() if u != 0}}
+        super().post(t, messages)
+
+storage.WAIT_TIMEOUT_S = 1.0
+harness.Mailboxes = DropOne
+try:
+    harness.run_bubble(harness.BubbleConfig(nx=2, ny=2, layers=2, n_steps=1),
+                       n_partitions={n_partitions})
+except storage.MessageLost as exc:
+    print("raised", exc, exc.__notes__)
+"""
+
+
+class TestLostMessage:
+    # a step has six exchanges: a lost message is refused when the next
+    # one comes, and the last one's loss ends the run by the bounded wait
+    @pytest.mark.parametrize("lost,cause", [
+        (2, "exchange 3's came instead"), (5, "none came in 1.0 s")])
+    @pytest.mark.parametrize("n_partitions", [2, 4])
+    def test_run_ends_naming_pair_and_exchange(self, n_partitions, lost,
+                                               cause, run_python):
+        proc = run_python(LOST_MESSAGE_SCRIPT.format(
+            n_partitions=n_partitions, lost=lost))
+        assert proc.returncode == 0, proc.stderr
+        assert (f"raised message 1 -> 0 of exchange {lost} lost: {cause} "
+                "['partition 0, step 1']") in proc.stdout
+
+
 class TestSnapshots:
     def test_cadence_files(self, tmp_path):
         cfg = BubbleConfig(nx=2, ny=2, layers=2, n_steps=4, snapshot_every=2)

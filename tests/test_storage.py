@@ -4,10 +4,12 @@ import pytest
 from sembox.reference_element import ReferenceElement
 from sembox.mesh import (build_box_mesh, build_cg_numbering, compute_metrics,
                          partition_columns)
+from sembox import storage
 from sembox.storage import (
-    N_VARS, PartitionLayout, ProtocolError, dss, gather_bytes, halo_exchange,
-    read_snapshot, scatter, write_snapshot,
+    N_VARS, Mailboxes, MessageLost, PartitionLayout, ProtocolError, dss,
+    gather_bytes, halo_exchange, read_snapshot, scatter, write_snapshot,
 )
+from oracles import accumulate_by_color
 
 
 @pytest.fixture(scope="module")
@@ -225,6 +227,78 @@ class TestPartitionedAssembly:
         for bad in ({1: np.zeros((3, N_VARS))}, {}):
             with pytest.raises(ProtocolError):
                 layout.fold_shared(0, acc, ser, bad)
+
+
+def restricted_numberings(order, n_parts):
+    """The numbering of each of ``n_parts`` partitions of a 4x4x3 mesh."""
+    mesh = build_box_mesh(4, 4, 3, 1000.0, 1000.0, 1000.0)
+    num = build_cg_numbering(mesh, ReferenceElement.create(order))
+    return [num.restrict(part.elem_start, part.elem_stop)[0]
+            for part in partition_columns(mesh, n_parts)]
+
+
+class TestAssemblyPlan:
+    @pytest.mark.parametrize("n_parts", [1, 2, 4])
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+    def test_bytes_equal_color_batch_loop(self, order, n_parts):
+        rng = np.random.default_rng(order)
+        for num in restricted_numberings(order, n_parts):
+            c = rng.standard_normal((*num.global_ids.shape, N_VARS))
+            c = np.where(rng.random(c.shape) < 0.3, -0.0, c)
+            assert (storage._accumulate(c, num).tobytes()
+                    == accumulate_by_color(c, num).tobytes())
+
+    @pytest.mark.parametrize("n_parts", [1, 2, 4])
+    @pytest.mark.parametrize("order", [1, 3, 5])
+    def test_chunks_are_ranks_in_color_order(self, order, n_parts):
+        for num in restricted_numberings(order, n_parts):
+            point_pos, chunks = num.assembly_plan
+            gids = num.global_ids.ravel()
+            color = np.repeat(num.elem_color, num.n_node_per_elem)
+            count = np.bincount(gids, minlength=num.n_unique)
+            assert np.array_equal(np.sort(np.concatenate(chunks)),
+                                  np.arange(gids.size))
+            sizes = [chunk.size for chunk in chunks]
+            assert sizes == sorted(sizes, reverse=True)
+            assert sizes[0] == num.n_unique
+            for r, chunk in enumerate(chunks):
+                assert np.array_equal(point_pos[gids[chunk]],
+                                      np.arange(chunk.size))
+                assert np.array_equal(np.sort(gids[chunk]),
+                                      np.flatnonzero(count > r))
+                if r:
+                    assert np.all(color[chunk]
+                                  > color[chunks[r - 1][:chunk.size]])
+
+
+class TestBoundedWait:
+    def test_lost_message_names_pair_and_exchange(self, setup443,
+                                                  monkeypatch):
+        monkeypatch.setattr(storage, "WAIT_TIMEOUT_S", 0.05)
+        _, mesh, _, num = setup443
+        layout = PartitionLayout(mesh, num, partition_columns(mesh, 2))
+        mail = Mailboxes(layout)
+        sent = [{u: np.zeros((sel.size, N_VARS))
+                 for u, sel in plan.msg_send.items()} for plan in layout.plans]
+        mail.post(0, sent[0])
+        mail.post(1, sent[1])
+        assert set(mail.wait(0)) == {1}
+        mail.post(0, sent[0])           # partition 1's next message is lost
+        with pytest.raises(MessageLost, match="message 1 -> 0 of exchange 1 "
+                                              "lost: none came in 0.05 s"):
+            mail.wait(0)
+        assert set(mail.wait(1)) == {0}
+
+    def test_message_of_another_exchange_is_refused(self, setup443):
+        _, mesh, _, num = setup443
+        layout = PartitionLayout(mesh, num, partition_columns(mesh, 2))
+        mail = Mailboxes(layout)
+        mail.n_posts[1] = 1             # partition 1 lost exchange 0's
+        mail.post(1, {0: np.zeros((layout.plans[1].msg_send[0].size,
+                                   N_VARS))})
+        with pytest.raises(MessageLost, match="message 1 -> 0 of exchange 0 "
+                                              "lost: exchange 1's came"):
+            mail.wait(0)
 
 
 class TestRestrict:
