@@ -4,24 +4,23 @@ The driver owns the end-to-end pattern: build the discretization, freeze
 the Courant-limited timestep, then march stages of
 right-hand-side -> exchange/assemble -> update -> wall projection, with
 the low-pass filter (and its own exchange) closing each step.  Every
-partition runs in its own worker (a thread when there are several) and
-the only cross-worker data are the halo messages, which travel through
-``storage.Mailboxes``, the transport ``halo_exchange`` uses too.  A
-worker holds its state, stages and diagnostics only at the points its
-partition touches, in the partition's local numbering, and keeps only
-its phase timing and stage loop; pressure, filter, walls and the
-exchange sequence are the serial operators' own code (``dynamics``,
+partition runs in its own worker, started by ``storage.Mailboxes.run``
+(partition 0 on the calling thread, as for ``halo_exchange``), and the
+only cross-worker data are the halo messages, which travel through those
+mailboxes.  A worker holds its state, stages and diagnostics only at the
+points its partition touches, in the partition's local numbering, and
+keeps only its phase timing and stage loop; pressure, filter, walls and
+the exchange sequence are the serial operators' own code (``dynamics``,
 ``PartitionLayout.exchange``) run on those local arrays, so any worker
 count gives ``rk_step`` over ``create_rhs`` bit for bit.  A worker that
-stops aborts its mailboxes, which stops the neighbours waiting on it in
-turn, and a worker whose halo message is lost stops with
-``storage.MessageLost``; a fault is raised by ``run_bubble``.
+stops, for instance with ``storage.MessageLost``, stops the others
+through ``Mailboxes.run``; ``run_bubble`` raises the lowest fault.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+import math
 import os
 import re
-import threading
 import time
 
 import numpy as np
@@ -80,6 +79,11 @@ class BubbleConfig:
     warmup_steps: int = 1
 
     def validate(self):
+        for f in fields(self):      # NaN passes every comparison below
+            value = getattr(self, f.name)
+            for v in value if isinstance(value, tuple) else (value,):
+                if isinstance(v, float) and not math.isfinite(v):
+                    raise ConfigError(f"{f.name} must be finite")
         if self.theta0 <= 0.0:
             raise ConfigError("background potential temperature must be positive")
         if self.scheme not in ENGINE_SCHEMES:
@@ -303,8 +307,7 @@ class _Worker:
         self.phase_seconds = {ph: 0.0 for ph in PHASES}
         self.timing = False
         self.loop_seconds = 0.0
-        self.failed_step: int | None = None
-        self.failed: Exception | None = None
+        self.step = 0  # the step in progress; final_state: the last completed
 
     def _exchange(self, contrib):
         t0 = time.perf_counter()
@@ -341,45 +344,34 @@ class _Worker:
 
     def run(self, state0):
         scheme = DEFAULT_SCHEME
-        step = 0
-        state = state0[self.plan.own_gids]
+        self.final_state = state = state0[self.plan.own_gids]
         owned = self.plan.owned
-        try:
-            apply_boundary(state, self.num)
+        apply_boundary(state, self.num)
+        self.diags.append(_diag_partials(state, self.ra, self.num, owned))
+        for step in range(1, self.n_steps + 1):
+            self.step = step
+            self.timing = step > self.config.warmup_steps
+            step_t0 = time.perf_counter()
+            stages = [state]
+            for i in range(scheme.stages):
+                k, bt = scheme.beta[i]
+                f = self._rhs(stages[k])
+                t0 = time.perf_counter()
+                new = None
+                for j, a in scheme.alpha[i]:
+                    term = a * stages[j]
+                    new = term if new is None else new + term
+                new += (self.dt * bt) * f
+                apply_boundary(new, self.num)
+                self._time("update", t0)
+                stages.append(new)
+            self.final_state = state = self._filter(stages[-1])
+            if self.timing:
+                self.loop_seconds += time.perf_counter() - step_t0
             self.diags.append(_diag_partials(state, self.ra, self.num, owned))
-            for step in range(1, self.n_steps + 1):
-                self.timing = step > self.config.warmup_steps
-                step_t0 = time.perf_counter()
-                stages = [state]
-                for i in range(scheme.stages):
-                    k, bt = scheme.beta[i]
-                    f = self._rhs(stages[k])
-                    t0 = time.perf_counter()
-                    new = None
-                    for j, a in scheme.alpha[i]:
-                        term = a * stages[j]
-                        new = term if new is None else new + term
-                    new += (self.dt * bt) * f
-                    apply_boundary(new, self.num)
-                    self._time("update", t0)
-                    stages.append(new)
-                state = self._filter(stages[-1])
-                if self.timing:
-                    self.loop_seconds += time.perf_counter() - step_t0
-                self.diags.append(_diag_partials(state, self.ra, self.num,
-                                                 owned))
-                every = self.snapshot_every
-                if every and step % every == 0:
-                    self.snapshots.append((step, state[owned]))
-        except Exception as exc:
-            self.mail.abort(self.t)     # release the neighbours waiting on t
-            self.failed_step = step
-            if not isinstance(exc, NeighborStopped):
-                # what BaseException.add_note does, also on Python 3.10
-                exc.__notes__ = [*getattr(exc, "__notes__", []),
-                                 _FAULT_NOTE.format(self.t, step)]
-                self.failed = exc
-        self.final_state = state
+            every = self.snapshot_every
+            if every and step % every == 0:
+                self.snapshots.append((step, state[owned]))
 
 
 _FAULT_NOTE = "partition {}, step {}"
@@ -442,23 +434,17 @@ def run_bubble(config: BubbleConfig, n_partitions: int = 1,
                        dt, n_steps, snapshot_every) for part in parts]
 
     wall0 = time.perf_counter()
-    if n_partitions == 1:
-        workers[0].run(state0)
-    else:
-        threads = [threading.Thread(target=w.run, args=(state0,), daemon=True)
-                   for w in workers]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join()
+    _, errors = mail.run(lambda t: workers[t].run(state0))
     wall = time.perf_counter() - wall0
-    for w in workers:   # physics failures end in the report, faults raise
-        if w.failed is not None and not isinstance(
-                w.failed, (DivergedStateError, StateValidityError)):
-            raise w.failed
-
-    failed_step = min((w.failed_step for w in workers
-                       if w.failed_step is not None), default=None)
+    stopped = [(w, exc) for w, exc in zip(workers, errors) if exc is not None]
+    for w, exc in stopped:   # physics failures end in the report, faults raise
+        if not isinstance(exc, (NeighborStopped, DivergedStateError,
+                                StateValidityError)):
+            # what BaseException.add_note does, also on Python 3.10
+            exc.__notes__ = [*getattr(exc, "__notes__", []),
+                             _FAULT_NOTE.format(w.t, w.step)]
+            raise exc
+    failed_step = min((w.step for w, _ in stopped), default=None)
 
     # diagnostics: reduce partials in partition order, step by step,
     # over the steps every worker finished
@@ -531,7 +517,8 @@ def scale_experiment(config: BubbleConfig, partition_counts,
 
     Efficiency of T workers over the baseline T0 (the first entry) is
     t0*T0/(t*T), per phase and for the whole timed loop.  A diverged run
-    raises :class:`DivergedRunError`.
+    raises :class:`DivergedRunError`, and a run with no timed step
+    :class:`ConfigError`.
     """
     points = []
     base = None
@@ -539,6 +526,9 @@ def scale_experiment(config: BubbleConfig, partition_counts,
         report, _ = run_bubble(config, n_partitions=T, const=const)
         if report.failed_step is not None:
             raise DivergedRunError(T, report.failed_step)
+        if report.timed_steps == 0:
+            raise ConfigError(f"a {report.n_steps}-step run has no timed step "
+                              f"after warmup_steps = {config.warmup_steps}")
         timed = report.total_seconds
         if base is None:
             base = (T, timed, dict(report.phase_seconds))

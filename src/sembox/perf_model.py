@@ -137,6 +137,11 @@ class SimConfig:
             raise ValueError(f"unknown metric scheme {self.metric_scheme!r}")
         if self.order < 1 or self.timesteps < 1 or self.machines < 1:
             raise ValueError("order, timesteps and machines must be positive")
+        if self.stages < 1 or self.n_vars < 1:
+            raise ValueError("stages and n_vars must be at least 1")
+        if not all(math.isfinite(n) and n > 0 for n in self.elements):
+            raise ValueError(f"element counts {self.elements} must be finite "
+                             "and positive")
 
     @property
     def n_elements(self) -> float:

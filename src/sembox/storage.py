@@ -19,12 +19,13 @@ does over the whole mesh, and contributions at nodes shared between
 partitions are exchanged raw (one value per contributing element) into
 fixed rank slots, which are summed rank by rank too.
 
-:meth:`PartitionLayout.exchange` is the one partitioned assembly, and
+:meth:`PartitionLayout.exchange` is the one partitioned assembly,
 :class:`Mailboxes` its one in-process transport (one FIFO per sending
-pair), used by the run's workers and by :func:`halo_exchange` alike.
-It returns partition-local arrays: one row per point the partition's
-elements touch, in ascending global order (``plans[t].own_gids``); one
-partition is the whole mesh.
+pair) and :meth:`Mailboxes.run` the one launcher of partitioned work
+(partition 0 on the calling thread), used by the run's workers and by
+:func:`halo_exchange` alike.  The exchange returns partition-local
+arrays: one row per point the partition's elements touch, in ascending
+global order (``plans[t].own_gids``); one partition is the whole mesh.
 
 The engine keeps its state in CG storage under both of its schemes;
 element kernels read DG-layout blocks gathered from it.  The ``dg``
@@ -33,10 +34,10 @@ node instead of once per unique point.  The hybrid (``cg-dg``) is priced
 by the performance model only.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 import queue
 import struct
+import threading
 
 import numpy as np
 
@@ -285,7 +286,7 @@ class Mailboxes:
     exchange's message comes instead or none comes in ``WAIT_TIMEOUT_S``.
     A partition that stops for any reason calls :meth:`abort`; the
     neighbours waiting on it raise :class:`NeighborStopped`, stop and
-    abort in turn.
+    abort in turn; :meth:`run` applies that rule to every partition.
     """
 
     def __init__(self, layout: PartitionLayout):
@@ -323,28 +324,48 @@ class Mailboxes:
         for u in self.plans[t].msg_send:
             self.fifo[t, u].put(None)
 
+    def run(self, work) -> tuple[list, list]:
+        """Call ``work(t)`` for every partition t: partition 0 on the
+        calling thread, each other one on a daemon thread of its own.
+
+        A call that raises aborts t's mailboxes.  Returns each partition's
+        result and exception: None where the call finished, and
+        :class:`NeighborStopped` where a neighbour's stop ended it."""
+        n = len(self.plans)
+        results, errors = [None] * n, [None] * n
+
+        def call(t):
+            try:
+                results[t] = work(t)
+            except BaseException as exc:   # an interrupt releases them too
+                self.abort(t)
+                errors[t] = exc
+
+        threads = [threading.Thread(target=call, args=(t,), daemon=True)
+                   for t in range(1, n)]
+        for th in threads:
+            th.start()
+        call(0)
+        for th in threads:
+            th.join()
+        return results, errors
+
 
 def halo_exchange(layout: PartitionLayout,
                   contribs: list[np.ndarray]) -> list[np.ndarray]:
-    """One :meth:`PartitionLayout.exchange` per partition, one thread each.
+    """One :meth:`PartitionLayout.exchange` per partition, started by
+    :meth:`Mailboxes.run`; the lowest partition's fault is raised.
 
     Returns one assembled array per partition, with a row for each of its
     local points (``plans[t].own_gids``); all copies of a shared point
     hold the identical value.
     """
     mail = Mailboxes(layout)
-
-    def assemble(t):
-        try:
-            return layout.exchange(t, contribs[t], mail)
-        except BaseException as exc:
-            mail.abort(t)
-            if isinstance(exc, NeighborStopped):
-                return None       # the partition that stopped first raises
-            raise
-
-    with ThreadPoolExecutor(max_workers=layout.n_parts) as pool:
-        return list(pool.map(assemble, range(layout.n_parts)))
+    outs, errors = mail.run(lambda t: layout.exchange(t, contribs[t], mail))
+    for exc in errors:
+        if exc is not None and not isinstance(exc, NeighborStopped):
+            raise exc
+    return outs
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +444,8 @@ def read_snapshot(path):
             raise ProtocolError(f"bad snapshot magic {magic!r}")
         if version != _VERSION:
             raise ProtocolError(f"unsupported snapshot version {version}")
+        if tag not in _LAYOUT_TAGS.values():
+            raise ProtocolError(f"unknown snapshot layout tag {tag}")
         payload = np.frombuffer(f.read(), dtype="<f8")
     if payload.size != rows * nv:
         raise ProtocolError(f"snapshot payload has {payload.size} values, "
@@ -431,6 +454,9 @@ def read_snapshot(path):
     values = payload.reshape(rows, nv)
     if layout == "dg":
         nn = (order + 1) ** 3
+        if rows != n_elements * nn:
+            raise ProtocolError(f"DG snapshot has {rows} rows, expected "
+                                f"{n_elements} elements of {nn} nodes")
         values = values.reshape(n_elements, nn, nv)
     meta = {"order": order, "layout": layout, "rows": rows,
             "n_elements": n_elements, "n_vars": nv}

@@ -73,6 +73,23 @@ class TestPerfmodelCommand:
         code, _, err = run_cli(capsys, "perfmodel")
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("elements", ["0,0,0", "nan,2,3", "2,inf,3",
+                                          "2,-1,3"])
+    def test_impossible_elements_exit_2(self, capsys, elements):
+        code, out, err = run_cli(capsys, "perfmodel", "--elements", elements)
+        assert code == EXIT_CONFIG
+        assert "element counts" in err
+        assert "analytic ledger" not in out
+
+    @pytest.mark.parametrize("line", ["nx = 0", "nz = nan", "stages = 0"])
+    def test_impossible_scenario_exits_2(self, capsys, tmp_path, line):
+        scn = tmp_path / "case.cfg"
+        scn.write_text(line + "\n")
+        code, out, err = run_cli(capsys, "perfmodel", "--scenario", str(scn))
+        assert code == EXIT_CONFIG
+        assert "error" in err
+        assert "analytic ledger" not in out
+
 
 class TestRunCommand:
     def test_tiny_run(self, capsys, tmp_path):
@@ -138,7 +155,8 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("flag,value", [
         ("--steps", "-3"), ("--end-time", "-1"), ("--snapshot-every", "-2"),
-        ("--radius", "-5")])
+        ("--radius", "-5"), ("--radius", "nan"), ("--courant-h", "nan"),
+        ("--end-time", "nan"), ("--theta-pert", "inf")])
     def test_out_of_range_run_control_exits_2(self, capsys, tmp_path, flag,
                                               value):
         code, _, err = run_cli(capsys, "run", "--nx", "2", "--ny", "2",
@@ -197,6 +215,16 @@ class TestScaleCommand:
         assert "the 1-worker run diverged at step 5" in err
         assert "efficiency" not in out
         assert not (tmp_path / "scaling.csv").exists()
+
+    @pytest.mark.parametrize("duration", [("--steps", "1"),
+                                          ("--end-time", "0.01")])
+    def test_no_timed_step_exits_2(self, capsys, duration):
+        # one warm-up step leaves a one-step run nothing to time
+        code, out, err = run_cli(capsys, "scale", "--nx", "2", "--ny", "2",
+                                 "--layers", "2", "--parts", "1,2", *duration)
+        assert code == EXIT_CONFIG
+        assert "warmup_steps" in err
+        assert "efficiency" not in out
 
     @pytest.mark.parametrize("parts", [",", "", " , "])
     def test_parts_without_a_count_exits_2(self, capsys, parts):

@@ -44,7 +44,10 @@ class TestBubbleConfig:
     @pytest.mark.parametrize("field,value", [
         ("n_steps", -1), ("end_time", 0.0), ("end_time", -1.0),
         ("snapshot_every", -2), ("warmup_steps", -1), ("radius", 0.0),
-        ("radius", -5.0)])
+        ("radius", -5.0), ("radius", float("nan")),
+        ("end_time", float("nan")), ("courant_h", float("nan")),
+        ("center", (500.0, 500.0, float("nan"))),
+        ("filter_mu", float("inf"))])
     def test_rejects_out_of_range_run_control(self, field, value):
         with pytest.raises(ConfigError):
             BubbleConfig(**{field: value}).validate()

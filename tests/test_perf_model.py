@@ -266,6 +266,16 @@ class TestTables:
             assert table[s]["optimal runtime in seconds"] > 0
 
 
+class TestSimConfig:
+    @pytest.mark.parametrize("field,value", [
+        ("elements", (0, 0, 0)), ("elements", (float("nan"), 2, 3)),
+        ("elements", (2, float("inf"), 3)), ("elements", (2, -1.5, 3)),
+        ("stages", 0), ("n_vars", 0)])
+    def test_rejects_impossible_scenarios(self, field, value):
+        with pytest.raises(ValueError):
+            SimConfig(**{field: value})
+
+
 class TestMachineModel:
     def test_validation(self):
         with pytest.raises(ValueError):

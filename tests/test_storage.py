@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,9 @@ from sembox.mesh import (build_box_mesh, build_cg_numbering, compute_metrics,
                          partition_columns)
 from sembox import storage
 from sembox.storage import (
-    N_VARS, Mailboxes, MessageLost, PartitionLayout, ProtocolError, dss,
-    gather_bytes, halo_exchange, read_snapshot, scatter, write_snapshot,
+    N_VARS, Mailboxes, MessageLost, NeighborStopped, PartitionLayout,
+    ProtocolError, dss, gather_bytes, halo_exchange, read_snapshot, scatter,
+    write_snapshot,
 )
 from oracles import accumulate_by_color
 
@@ -301,6 +304,78 @@ class TestBoundedWait:
             mail.wait(0)
 
 
+# the launcher tests' faults: partitions 1 and 3 of four raise different ones
+FAILING = {1: KeyError("partition 1"), 3: IndexError("partition 3")}
+
+
+class TestLauncher:
+    """``Mailboxes.run`` in process, with a 1 s bound on every wait, so a
+    missing abort fails a test (``MessageLost``) instead of hanging it."""
+
+    @pytest.fixture
+    def traced(self, monkeypatch):
+        """Record each thread started and the thread each exchange ran on;
+        an exchange of a partition in ``failing`` raises before posting."""
+        monkeypatch.setattr(storage, "WAIT_TIMEOUT_S", 1.0)
+        started, ran_on, failing = [], {}, {}
+        start, exchange = threading.Thread.start, PartitionLayout.exchange
+
+        def recorded_start(thread):
+            started.append(thread)
+            start(thread)
+
+        def recorded_exchange(layout, t, contrib, mail):
+            ran_on[t] = threading.get_ident()
+            if t in failing:
+                raise failing[t]
+            return exchange(layout, t, contrib, mail)
+
+        monkeypatch.setattr(threading.Thread, "start", recorded_start)
+        monkeypatch.setattr(PartitionLayout, "exchange", recorded_exchange)
+        return started, ran_on, failing
+
+    @staticmethod
+    def layout_and_contribs(setup443, n_parts):
+        _, mesh, _, num = setup443
+        parts = partition_columns(mesh, n_parts)
+        return (PartitionLayout(mesh, num, parts),
+                [np.ones((p.n_elements, 64, N_VARS)) for p in parts])
+
+    def test_one_partition_runs_on_the_calling_thread(self, setup443, traced):
+        started, ran_on, _ = traced
+        layout, contribs = self.layout_and_contribs(setup443, 1)
+        outs = halo_exchange(layout, contribs)
+        assert ran_on == {0: threading.get_ident()}
+        assert started == []
+        assert outs[0].shape == (layout.plans[0].own_gids.size, N_VARS)
+
+    def test_halo_exchange_raises_the_lowest_fault(self, setup443, traced):
+        started, ran_on, failing = traced
+        failing.update(FAILING)
+        layout, contribs = self.layout_and_contribs(setup443, 4)
+        with pytest.raises(KeyError) as info:
+            halo_exchange(layout, contribs)
+        assert info.value is FAILING[1]
+        assert ran_on[0] == threading.get_ident()
+        assert len(started) == 3
+        assert not any(th.is_alive() for th in started)
+
+    def test_run_returns_every_partition_outcome(self, setup443, traced):
+        started, _, failing = traced
+        failing.update(FAILING)
+        layout, contribs = self.layout_and_contribs(setup443, 4)
+        mail = Mailboxes(layout)
+        outs, errors = mail.run(
+            lambda t: layout.exchange(t, contribs[t], mail))
+        assert errors[1] is FAILING[1] and errors[3] is FAILING[3]
+        for t in (0, 2):
+            assert (isinstance(errors[t], NeighborStopped)
+                    or (errors[t] is None and outs[t] is not None))
+        assert outs[1] is None and outs[3] is None
+        assert len(started) == 3
+        assert not any(th.is_alive() for th in started)
+
+
 class TestRestrict:
     def test_whole_mesh_is_the_same_numbering(self, setup443):
         _, mesh, _, num = setup443
@@ -371,6 +446,22 @@ class TestSnapshot:
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOPE" + b"\x00" * 60)
         with pytest.raises(ProtocolError):
+            read_snapshot(path)
+
+    def test_unknown_layout_tag(self, tmp_path):
+        path = tmp_path / "state.bin"
+        write_snapshot(path, np.zeros((4, N_VARS)), order=1, layout="cg")
+        data = bytearray(path.read_bytes())
+        data[12] = 7                    # the layout tag follows magic, version, p
+        path.write_bytes(bytes(data))
+        with pytest.raises(ProtocolError, match="layout tag 7"):
+            read_snapshot(path)
+
+    def test_dg_rows_not_whole_elements(self, tmp_path):
+        path = tmp_path / "dg.bin"
+        write_snapshot(path, np.zeros((5, 27, N_VARS)), order=2, layout="dg",
+                       n_elements=4)
+        with pytest.raises(ProtocolError, match="135 rows"):
             read_snapshot(path)
 
     def test_truncated_payload(self, tmp_path, setup443):
