@@ -136,7 +136,7 @@ def build_box_mesh(nx: int, ny: int, nz_layers: int,
         raise MeshError(f"column grid side must be a power of two, got {nx}")
     if nz_layers < 1:
         raise MeshError(f"need at least one layer, got {nz_layers}")
-    if min(Lx, Ly, Lz) <= 0.0:
+    if not (np.all(np.isfinite((Lx, Ly, Lz))) and min(Lx, Ly, Lz) > 0.0):
         raise MeshError(f"degenerate box extents {(Lx, Ly, Lz)}")
     level = nx.bit_length() - 1
 
@@ -249,11 +249,12 @@ class CgNumbering:
     (element index * p + local index), so no geometric snap tolerance is
     involved.  ``color_batches`` groups elements into eight parity classes
     such that no two elements of a class share a grid point; batch order
-    defines the canonical summation order of the assembly, and
-    :attr:`assembly_plan` runs that order as dense rank-by-rank adds.
-    ``lattice_dims``
-    describes the whole mesh; a partition's numbering (:meth:`restrict`)
-    keeps it, so there ``n_unique`` is smaller than its product.
+    defines the canonical summation order of the assembly.
+    :meth:`entry_rank` gives each element node's place in that order at
+    its point, and :attr:`assembly_plan` runs it as dense rank-by-rank
+    adds.  ``lattice_dims`` describes the whole mesh; a partition's
+    numbering (:meth:`restrict`) keeps it, so there ``n_unique`` is
+    smaller than its product.
     """
 
     order: int
@@ -263,7 +264,6 @@ class CgNumbering:
     mass: np.ndarray            # (n_unique,)
     inv_mass: np.ndarray        # (n_unique,)
     node_coords: np.ndarray     # (n_unique, 3)
-    elem_color: np.ndarray      # (E,)
     color_batches: list = field(repr=False, default_factory=list)
     boundary_ids: dict = field(repr=False, default_factory=dict)
 
@@ -271,18 +271,9 @@ class CgNumbering:
     def n_node_per_elem(self) -> int:
         return (self.order + 1) ** 3
 
-    @cached_property
-    def assembly_plan(self) -> tuple[np.ndarray, list]:
-        """(point_pos, chunks): the color-batch order, rank-major.
-
-        An entry (element node, flat id ``elem * n^3 + node``) has rank r
-        if it is the r-th at its point in color order.  Points are sorted
-        by how many entries they have, most first (stable), and
-        ``point_pos`` is each point's place in that order.  ``chunks[r]``
-        holds the flat ids of the rank-r entries in ``point_pos`` order:
-        one per point with more than r entries, so each chunk covers a
-        prefix of the sorted points.  Built on first use.
-        """
+    def entry_rank(self) -> np.ndarray:
+        """Rank of each element node (by flat id ``elem * n^3 + node``)
+        at its point: its place in color order among the nodes there."""
         nn = self.n_node_per_elem
         gids = self.global_ids.ravel()
         count = np.zeros(self.n_unique, dtype=np.int64)
@@ -292,12 +283,14 @@ class CgNumbering:
             tgt = gids[ids]
             rank[ids] = count[tgt]
             count[tgt] += 1            # a batch touches each point once
-        point_pos = np.empty(self.n_unique, dtype=np.intp)
-        point_pos[np.argsort(-count, kind="stable")] = np.arange(self.n_unique)
-        start = np.concatenate(([0], np.cumsum(np.bincount(rank))))
-        entries = np.empty(gids.size, dtype=np.intp)
-        entries[start[rank] + point_pos[gids]] = np.arange(gids.size)
-        return point_pos, [entries[a:b] for a, b in zip(start[:-1], start[1:])]
+        return rank
+
+    @cached_property
+    def assembly_plan(self) -> tuple[np.ndarray, list]:
+        """:func:`rank_major_plan` of every element node, by flat id.
+        Built on first use."""
+        return rank_major_plan(self.global_ids.ravel(), self.entry_rank(),
+                               self.n_unique)
 
     def restrict(self, start: int, stop: int):
         """Numbering of the points elements [start, stop) touch.
@@ -317,7 +310,6 @@ class CgNumbering:
             global_ids=local.reshape(stop - start, -1),
             mass=self.mass[own], inv_mass=self.inv_mass[own],
             node_coords=self.node_coords[own],
-            elem_color=self.elem_color[start:stop],
             color_batches=[b[(b >= start) & (b < stop)] - start
                            for b in self.color_batches],
             boundary_ids={axis: np.flatnonzero(np.isin(own, ids))
@@ -379,7 +371,7 @@ def build_cg_numbering(mesh: ColumnMesh, ref: ReferenceElement,
     return CgNumbering(
         order=p, lattice_dims=(gpx, gpy, gpz), n_unique=n_unique,
         global_ids=gids, mass=mass, inv_mass=1.0 / mass,
-        node_coords=node_coords, elem_color=color, color_batches=batches,
+        node_coords=node_coords, color_batches=batches,
         boundary_ids=boundary,
     )
 
@@ -391,6 +383,27 @@ def node_coords_lattice(n_unique: int, gpx: int, gpy: int) -> np.ndarray:
     gy = (g // gpx) % gpy
     gz = g // (gpx * gpy)
     return np.stack([gx, gy, gz], axis=1)
+
+
+def rank_major_plan(points: np.ndarray, rank: np.ndarray,
+                    n_points: int) -> tuple[np.ndarray, list]:
+    """(point_pos, chunks): entries grouped by rank for a rank-by-rank sum.
+
+    Entry i sits at point ``points[i]`` with rank ``rank[i]`` there, and
+    every point holds one entry of each rank below its entry count.
+    Points are sorted by that count, most first (stable), and
+    ``point_pos`` is each point's place in that order.  ``chunks[r]``
+    holds the indices of the rank-r entries in ``point_pos`` order: one
+    per point with more than r entries, so each chunk covers a prefix of
+    the sorted points.
+    """
+    count = np.bincount(points, minlength=n_points)
+    point_pos = np.empty(n_points, dtype=np.intp)
+    point_pos[np.argsort(-count, kind="stable")] = np.arange(n_points)
+    start = np.concatenate(([0], np.cumsum(np.bincount(rank))))
+    entries = np.empty(points.size, dtype=np.intp)
+    entries[start[rank] + point_pos[points]] = np.arange(points.size)
+    return point_pos, [entries[a:b] for a, b in zip(start[:-1], start[1:])]
 
 
 # ---------------------------------------------------------------------------

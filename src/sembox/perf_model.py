@@ -66,9 +66,10 @@ class MachineModel:
     double_bytes: int = 8
 
     def __post_init__(self):
-        if min(self.bandwidth, self.peak_flops, self.cache_line,
-               self.l2_bytes, self.double_bytes) <= 0:
-            raise ValueError("machine parameters must be positive")
+        if not all(math.isfinite(v) and v > 0
+                   for v in (self.bandwidth, self.peak_flops, self.cache_line,
+                             self.l2_bytes, self.double_bytes)):
+            raise ValueError("machine parameters must be finite and positive")
 
     @property
     def ridge_intensity(self) -> float:
@@ -549,6 +550,8 @@ def order_sweep(base: SimConfig, p_range=range(1, 8),
     prices every order cache-friendly, since the line-waste factors are
     anchored at the base order and do not extrapolate across p.
     """
+    if not p_range:
+        raise ValueError(f"order sweep got an empty order range {p_range}")
     if min(p_range) < 1 or max(p_range) > 10:
         raise ValueError("order sweep supports p in [1, 10]")
     machine = machine or MachineModel()

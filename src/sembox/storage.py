@@ -12,12 +12,14 @@ grid point and multiplies by the inverse of the diagonal mass matrix.
 The summation follows one canonical order everywhere -- ascending
 (element color, element id) -- so runs with different partition counts
 produce bit-identical results.  A contribution's rank is its place in
-that order at its point.  A partition accumulates its elements rank by
-rank from +0.0 (:attr:`CgNumbering.assembly_plan`: one gather per rank,
-added into the prefix of points that have that rank), as serial assembly
-does over the whole mesh, and contributions at nodes shared between
-partitions are exchanged raw (one value per contributing element) into
-fixed rank slots, which are summed rank by rank too.
+that order at its point (:meth:`CgNumbering.entry_rank`), and one kernel
+sums them rank by rank from +0.0 (:func:`_accumulate` over a
+:func:`~sembox.mesh.rank_major_plan`: one gather per rank, added into
+the prefix of points that have that rank).  It runs over a partition's
+own elements, as serial assembly does over the whole mesh, and over the
+contributions at nodes shared between partitions: those are serialized
+in element order and exchanged raw (one value per contributing
+element), each keeping its rank in the whole mesh.
 
 :meth:`PartitionLayout.exchange` is the one partitioned assembly,
 :class:`Mailboxes` its one in-process transport (one FIFO per sending
@@ -41,7 +43,7 @@ import threading
 
 import numpy as np
 
-from .mesh import ColumnMesh, CgNumbering, Partition
+from .mesh import ColumnMesh, CgNumbering, Partition, rank_major_plan
 
 N_VARS = 5
 
@@ -67,15 +69,14 @@ def gather_bytes(numbering: CgNumbering, n_elements: int) -> tuple[int, int]:
     return n_elements * nn * N_VARS * 8, numbering.n_unique * N_VARS * 8
 
 
-def _accumulate(contrib: np.ndarray, numbering: CgNumbering) -> np.ndarray:
-    """Sum of per-element contributions at each point, in color order.
-
-    Runs :attr:`CgNumbering.assembly_plan`: rank 0 of every point, plus
-    +0.0, then each further rank added into the prefix of points that
-    have it, then the points put back in id order.
+def _accumulate(values: np.ndarray, plan: tuple[np.ndarray, list]) -> np.ndarray:
+    """Sum of the entries (rows of ``values`` over its last axis) at each
+    point: a :func:`~sembox.mesh.rank_major_plan` run as rank 0 of every
+    point plus +0.0, then each further rank added into the prefix of
+    points that have it, then the points put back in their own order.
     """
-    point_pos, chunks = numbering.assembly_plan
-    flat = contrib.reshape(-1, contrib.shape[-1])
+    point_pos, chunks = plan
+    flat = values.reshape(-1, values.shape[-1])
     acc = np.take(flat, chunks[0], axis=0)
     acc += 0.0                     # the sum starts from +0.0
     for chunk in chunks[1:]:
@@ -91,7 +92,7 @@ def dss(contrib: np.ndarray, numbering: CgNumbering) -> np.ndarray:
     summed in ascending (color, element) order, then multiplied by the
     inverse mass.
     """
-    acc = _accumulate(contrib, numbering)
+    acc = _accumulate(contrib, numbering.assembly_plan)
     acc *= numbering.inv_mass[:, None]
     return acc
 
@@ -104,9 +105,10 @@ def dss(contrib: np.ndarray, numbering: CgNumbering) -> np.ndarray:
 class _PartPlan:
     """Static per-partition pieces of the exchange and fold.
 
-    A raw contribution at the partition's i-th shared point whose rank
-    in the canonical (color, element) order at that point is r has slot
-    ``r * shared.size + i``; every contribution there has its own slot.
+    The partition's entries at shared points (one per element node there)
+    are serialized in element order; ``fold_plan`` sums them with the
+    received ones, in ``recv_len`` order, rank by rank at each shared
+    point, with each entry's rank taken from the whole mesh.
     """
 
     elem_start: int
@@ -115,36 +117,39 @@ class _PartPlan:
     own_gids: np.ndarray           # global id of each local point
     owned: np.ndarray              # local ids no lower partition touches
     shared: np.ndarray             # local ids also touched by other partitions
-    ser_elem: np.ndarray           # serialization: local element index
-    ser_slot: np.ndarray           # serialization: node slot within element
-    ser_slots: np.ndarray          # rank slot of each serialized entry
-    n_ranks: int = 0               # most contributions at one shared point
-    msg_send: dict = field(default_factory=dict)    # u -> serialization index
-    recv_slots: dict = field(default_factory=dict)  # s -> slot of each entry
+    ser_idx: np.ndarray            # serialization: row of contrib.reshape(-1, 5)
+    msg_send: dict = field(default_factory=dict)  # u -> serialization index
+    recv_len: dict = field(default_factory=dict)  # s -> entries s sends
+    fold_plan: tuple | None = None  # rank_major_plan of own + received entries
 
 
 class PartitionLayout:
     """Everything static that partitioned assembly needs, built once.
 
     Each partition numbers the points its elements touch locally
-    (:meth:`CgNumbering.restrict`); its arrays hold only those rows.  The
-    serialization of a partition's contributions at shared points is
-    ordered by (gid, color, element); a halo message to a neighbor is a
-    sub-slice of that serialization, so send and receive sides agree on
-    the layout by construction.  Own and received entries land in their
-    rank slots (:class:`_PartPlan`), and the fold sums the slots rank by
-    rank from +0.0, which is the serial assembly's order at every shared
+    (:meth:`CgNumbering.restrict`); its arrays hold only those rows.  A
+    partition serializes its contributions at shared points in element
+    order; a halo message to a neighbor is a sub-slice of that
+    serialization, so send and receive sides agree on the layout by
+    construction.  The fold sums own and received entries rank by rank
+    from +0.0 (:class:`_PartPlan`), with ranks from the whole mesh's
+    color order, which is the serial assembly's order at every shared
     point and keeps results bit-identical to it.
     """
 
     def __init__(self, mesh: ColumnMesh, numbering: CgNumbering,
                  parts: list[Partition]):
-        self.n_parts = len(parts)
-        gids = numbering.global_ids
-
-        owner_elem = np.empty(gids.shape[0], dtype=np.int64)
-        for part in parts:
-            owner_elem[part.elem_start:part.elem_stop] = part.part_id
+        ends = [0] + [part.elem_stop for part in parts]
+        for part, start in zip(parts, ends):
+            if part.elem_start != start:
+                raise ValueError(f"partition {part.part_id} starts at element "
+                                 f"{part.elem_start}, not {start}")
+            if part.elem_stop < start:
+                raise ValueError(f"partition {part.part_id} stops at element "
+                                 f"{part.elem_stop}, before its start {start}")
+        if ends[-1] != mesh.n_elements:
+            raise ValueError(f"partition {parts[-1].part_id} ends at element "
+                             f"{ends[-1]}, not {mesh.n_elements}")
 
         local = [numbering.restrict(part.elem_start, part.elem_stop)
                  for part in parts]
@@ -155,75 +160,60 @@ class PartitionLayout:
             touch_count[own] += 1
         is_shared = touch_count >= 2
 
-        # all raw contributions at shared points, in canonical global order
-        mask = is_shared[gids]
-        e_all, slot_all = np.nonzero(mask)
-        g_all = gids[e_all, slot_all]
-        key = np.lexsort((e_all, numbering.elem_color[e_all], g_all))
-        e_all, slot_all, g_all = e_all[key], slot_all[key], g_all[key]
-        own_all = owner_elem[e_all]
-        # rank of each contribution within its grid point's list
-        uniq, start_idx, counts = np.unique(g_all, return_index=True,
-                                            return_counts=True)
-        pos_all = np.arange(g_all.size) - np.repeat(start_idx, counts)
+        # every element node at a shared point, by flat id; partition t's
+        # are a contiguous run, its serialization
+        gids = numbering.global_ids.ravel()
+        entries = np.flatnonzero(is_shared[gids])
+        point = gids[entries]
+        nn = numbering.n_node_per_elem
+        bounds = np.searchsorted(entries, np.multiply(ends, nn))
+        mine = [np.arange(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
 
-        # per-partition serialization order: (gid, color, elem) restricted to
-        # the partition's own entries; a stable sort by owner preserves it
-        ser_of = [np.flatnonzero(own_all == t) for t in range(self.n_parts)]
+        self.plans = [_PartPlan(
+            elem_start=part.elem_start, elem_stop=part.elem_stop,
+            numbering=num, own_gids=own, owned=first,
+            shared=np.flatnonzero(is_shared[own]),
+            ser_idx=entries[m] - part.elem_start * nn)
+            for part, (num, own), first, m in zip(parts, local, owned, mine)]
 
-        def rank_slots(at, k):
-            """Rank slots of contributions k among the shared gids ``at``."""
-            return pos_all[k] * at.size + np.searchsorted(at, g_all[k])
-
-        self.plans: list[_PartPlan] = []
-        for part, (num, own), first in zip(parts, local, owned):
-            mine = ser_of[part.part_id]
-            shared = np.flatnonzero(is_shared[own])
-            self.plans.append(_PartPlan(
-                elem_start=part.elem_start, elem_stop=part.elem_stop,
-                numbering=num, own_gids=own, owned=first, shared=shared,
-                ser_elem=e_all[mine] - part.elem_start,
-                ser_slot=slot_all[mine],
-                ser_slots=rank_slots(own[shared], mine),
-            ))
-
-        # messages: t sends the entries of its serialization whose gid is
-        # also touched by u; both sides can derive the same slice
-        for t in range(self.n_parts):
-            mine = ser_of[t]
-            for u, plan in enumerate(self.plans):
-                if u == t:
+        rank = numbering.entry_rank()[entries] if entries.size else entries
+        n_at = np.bincount(point)      # the whole mesh's entries per point
+        for u, plan in enumerate(self.plans):
+            # t sends u the entries of its serialization at points u
+            # touches; both sides derive the same slice
+            k = [mine[u]]
+            for t, src in enumerate(self.plans):
+                if t == u:
                     continue
-                sel = np.flatnonzero(np.isin(g_all[mine], plan.own_gids))
+                sel = np.flatnonzero(np.isin(point[mine[t]], plan.own_gids))
                 if sel.size:
-                    self.plans[t].msg_send[u] = sel
-                    plan.recv_slots[t] = rank_slots(plan.own_gids[plan.shared],
-                                                    mine[sel])
-
-        # own and received entries fill the slot of every contribution at
-        # a partition's shared points exactly once
-        for t, plan in enumerate(self.plans):
-            n_at = counts[np.searchsorted(uniq, plan.own_gids[plan.shared])]
-            plan.n_ranks = int(n_at.max(initial=0))
-            filled = np.concatenate([plan.ser_slots,
-                                     *plan.recv_slots.values()])
-            if (filled.size != n_at.sum()
-                    or np.unique(filled).size != filled.size):
-                raise ProtocolError(f"partition {t}: own and received entries "
-                                    "do not fill each shared slot once")
+                    src.msg_send[u] = sel
+                    plan.recv_len[t] = sel.size
+                    k.append(mine[t][sel])
+            if not plan.shared.size:   # one partition: nothing is shared
+                continue
+            k = np.concatenate(k)
+            at = plan.own_gids[plan.shared]
+            slot = np.searchsorted(at, point[k])
+            # own and received entries hold each rank below the whole
+            # mesh's count at every shared point exactly once
+            held = np.arange(n_at[at].max())[:, None] < n_at[at]
+            if not np.array_equal(np.bincount(rank[k] * at.size + slot,
+                                              minlength=held.size),
+                                  held.ravel()):
+                raise ProtocolError(f"partition {u}: own and received entries "
+                                    "do not hold each rank once")
+            plan.fold_plan = rank_major_plan(slot, rank[k], at.size)
 
     # -- runtime pieces ----------------------------------------------------
 
     def accumulate_own(self, t: int, contrib: np.ndarray) -> np.ndarray:
-        """Color-batch accumulation of partition t's contributions."""
-        return _accumulate(contrib, self.plans[t].numbering)
+        """Color-order accumulation of partition t's contributions."""
+        return _accumulate(contrib, self.plans[t].numbering.assembly_plan)
 
     def serialize_shared(self, t: int, contrib: np.ndarray) -> np.ndarray:
-        """Raw contributions of partition t at shared points, canonical order."""
-        plan = self.plans[t]
-        nv = contrib.shape[-1]
-        flat = contrib.reshape(plan.elem_stop - plan.elem_start, -1, nv)
-        return flat[plan.ser_elem, plan.ser_slot]
+        """Raw contributions of partition t at shared points, element order."""
+        return contrib.reshape(-1, contrib.shape[-1])[self.plans[t].ser_idx]
 
     def outgoing(self, t: int, ser: np.ndarray) -> dict[int, np.ndarray]:
         """Halo messages from partition t, keyed by destination."""
@@ -233,22 +223,18 @@ class PartitionLayout:
                     received: dict[int, np.ndarray]) -> None:
         """Overwrite acc at t's shared points with the canonical full sum."""
         plan = self.plans[t]
-        n, nv = plan.shared.size, acc.shape[1]
-        if n == 0:                     # one partition: nothing is shared
+        if plan.fold_plan is None:     # one partition: nothing is shared
             return
-        slots = np.zeros((plan.n_ranks * n, nv))
-        slots[plan.ser_slots] = ser
-        for u, at in plan.recv_slots.items():
+        for u, n in plan.recv_len.items():
             got = received.get(u)
-            if got is None or got.shape[0] != at.size:
+            if got is None or got.shape[0] != n:
                 raise ProtocolError(
                     f"partition {t}: message from {u} has "
                     f"{None if got is None else got.shape[0]} entries, "
-                    f"expected {at.size}")
-            slots[at] = got
-        # rank by rank from +0.0, as the serial sum runs at every point
-        acc[plan.shared] = sum(slots.reshape(plan.n_ranks, n, nv),
-                               np.zeros((n, nv)))
+                    f"expected {n}")
+        acc[plan.shared] = _accumulate(
+            np.concatenate([ser, *(received[u] for u in plan.recv_len)]),
+            plan.fold_plan)
 
     def exchange(self, t: int, contrib: np.ndarray,
                  mail: "Mailboxes") -> np.ndarray:
@@ -306,7 +292,7 @@ class Mailboxes:
         exchange = self.n_waits[t]
         self.n_waits[t] += 1
         received = {}
-        for s in self.plans[t].recv_slots:
+        for s in self.plans[t].recv_len:
             lost = f"message {s} -> {t} of exchange {exchange} lost"
             try:
                 item = self.fifo[s, t].get(timeout=WAIT_TIMEOUT_S)
@@ -414,19 +400,23 @@ _LAYOUT_TAGS = {"cg": 0, "dg": 1}
 _HEADER = struct.Struct("<4sIIIQQI4x")  # magic, version, p, layout, rows, elems, vars
 
 
-def write_snapshot(path, values: np.ndarray, order: int, layout: str = "cg",
-                   n_elements: int = 0) -> None:
+def write_snapshot(path, values: np.ndarray, order: int,
+                   layout: str = "cg") -> None:
     """Write a field snapshot: fixed header then little-endian float64 rows.
 
     CG layout stores (n_unique, n_vars) in ascending grid-point id; DG
-    layout stores (E, (p+1)^3, n_vars) in element order, x fastest.
+    layout stores (E, (p+1)^3, n_vars) in element order, x fastest, and
+    the header records E.
     """
     arr = np.ascontiguousarray(values, dtype="<f8")
-    rows = arr.shape[0] if layout == "cg" else arr.shape[0] * arr.shape[1]
     nv = arr.shape[-1]
+    n_elements = arr.shape[0] if layout == "dg" else 0
+    if layout == "dg" and arr.shape[1] != (order + 1) ** 3:
+        raise ValueError(f"DG block has {arr.shape[1]} nodes per element, "
+                         f"order {order} needs {(order + 1) ** 3}")
     with open(path, "wb") as f:
         f.write(_HEADER.pack(_MAGIC, _VERSION, order, _LAYOUT_TAGS[layout],
-                             rows, n_elements, nv))
+                             arr.size // nv, n_elements, nv))
         f.write(arr.tobytes())
 
 

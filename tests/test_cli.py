@@ -27,6 +27,14 @@ class TestMeshCommand:
         assert code == EXIT_CONFIG
         assert "error" in err
 
+    @pytest.mark.parametrize("flag,value", [("--lx", "nan"), ("--lx", "inf"),
+                                            ("--lz", "nan")])
+    def test_non_finite_extent_exits_2(self, capsys, flag, value):
+        code, out, err = run_cli(capsys, "mesh", flag, value)
+        assert code == EXIT_CONFIG
+        assert "degenerate box extents" in err
+        assert "box" not in out
+
 
 class TestPerfmodelCommand:
     def test_preset_table1(self, capsys):
@@ -79,6 +87,16 @@ class TestPerfmodelCommand:
         code, out, err = run_cli(capsys, "perfmodel", "--elements", elements)
         assert code == EXIT_CONFIG
         assert "element counts" in err
+        assert "analytic ledger" not in out
+
+    @pytest.mark.parametrize("flag,value", [("--bandwidth", "nan"),
+                                            ("--bandwidth", "inf"),
+                                            ("--peak", "nan")])
+    def test_non_finite_machine_exits_2(self, capsys, flag, value):
+        code, out, err = run_cli(capsys, "perfmodel", "--preset", "bubble",
+                                 flag, value)
+        assert code == EXIT_CONFIG
+        assert "machine parameters must be finite and positive" in err
         assert "analytic ledger" not in out
 
     @pytest.mark.parametrize("line", ["nx = 0", "nz = nan", "stages = 0"])
@@ -287,6 +305,13 @@ class TestWorkerFaultExit:
 
 
 class TestSweepOrderCommand:
+    def test_empty_order_range_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "sweep-order", "--pmin", "3",
+                                 "--pmax", "2")
+        assert code == EXIT_CONFIG
+        assert "empty order range" in err
+        assert out == ""
+
     def test_default_range(self, capsys):
         code, out, _ = run_cli(capsys, "sweep-order", "--pmax", "4")
         assert code == EXIT_OK

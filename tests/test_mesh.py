@@ -81,6 +81,14 @@ class TestBuildBoxMesh:
         with pytest.raises(MeshError):
             build_box_mesh(2, 2, 2, 1.0, -1.0, 1.0)
 
+    @pytest.mark.parametrize("extents", [
+        (float("nan"), 1.0, 1.0), (1.0, float("inf"), 1.0),
+        (1.0, 1.0, float("nan")),
+    ])
+    def test_rejects_non_finite_extents(self, extents):
+        with pytest.raises(MeshError, match="degenerate box extents"):
+            build_box_mesh(2, 2, 2, *extents)
+
     def test_variable_layers(self):
         layers = np.array([1, 2, 3, 4])
         m = build_box_mesh(2, 2, 1, 1.0, 1.0, 1.0, layer_counts=layers)

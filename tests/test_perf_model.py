@@ -219,6 +219,10 @@ class TestOrderSweep:
         with pytest.raises(ValueError):
             order_sweep(RAW_BUBBLE, range(5, 12))
 
+    def test_empty_range_is_named(self):
+        with pytest.raises(ValueError, match=r"empty order range range\(3, 3\)"):
+            order_sweep(RAW_BUBBLE, range(3, 3))
+
 
 class TestCalibration:
     def test_frozen_values_reproducible(self):
@@ -280,6 +284,15 @@ class TestMachineModel:
     def test_validation(self):
         with pytest.raises(ValueError):
             MachineModel(bandwidth=0.0)
+
+    @pytest.mark.parametrize("field,value", [
+        ("bandwidth", float("nan")), ("bandwidth", float("inf")),
+        ("peak_flops", float("nan")), ("peak_flops", float("inf")),
+        ("l2_bytes", float("nan")),
+    ])
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match="finite and positive"):
+            MachineModel(**{field: value})
 
     def test_ridge(self):
         assert MACHINE.ridge_intensity == pytest.approx(204.8 / 28.5, rel=1e-12)

@@ -141,11 +141,14 @@ print("identical")
 
 
 class TestPartitionedAssembly:
-    @pytest.mark.parametrize("n_parts", [1, 2, 4, 8])
-    def test_bitwise_matches_serial(self, setup443, n_parts):
-        ref, mesh, metrics, num = setup443
+    @pytest.mark.parametrize("order,n_parts", [
+        pytest.param(order, n, id=str(n) if order == 3 else f"p{order}-{n}")
+        for order in (1, 2, 3, 5) for n in (1, 2, 3, 4, 8)])
+    def test_bitwise_matches_serial(self, order, n_parts):
+        mesh = build_box_mesh(4, 4, 3, 1000.0, 1000.0, 1000.0)
+        num = build_cg_numbering(mesh, ReferenceElement.create(order))
         rng = np.random.default_rng(5)
-        contrib = rng.standard_normal((mesh.n_elements, 64, N_VARS))
+        contrib = rng.standard_normal((*num.global_ids.shape, N_VARS))
         # both sums start from +0.0, so a point whose contributions are all
         # -0.0 assembles to +0.0; np.array_equal cannot see a sign flip
         signed_zeros = np.where(rng.random(contrib.shape) < 0.3, -0.0, contrib)
@@ -199,6 +202,23 @@ class TestPartitionedAssembly:
         assert proc.returncode == 0, proc.stderr
         assert "identical" in proc.stdout
 
+    @pytest.mark.parametrize("spans,message", [
+        ([(0, 21), (24, 48)], "partition 1 starts at element 24, not 21"),
+        ([(0, 27), (24, 48)], "partition 1 starts at element 24, not 27"),
+        ([(0, 24), (24, 45)], "partition 1 ends at element 45, not 48"),
+        ([(3, 24), (24, 48)], "partition 0 starts at element 3, not 0"),
+        # every start meets the previous stop, but the middle runs backwards
+        ([(0, 16), (16, 10), (10, 48)],
+         "partition 1 stops at element 10, before its start 16"),
+    ], ids=["gap", "overlap", "short-end", "late-start", "backwards"])
+    def test_partitions_must_tile_the_elements(self, setup443, spans, message):
+        _, mesh, _, num = setup443
+        parts = partition_columns(mesh, len(spans))
+        for part, (start, stop) in zip(parts, spans):
+            part.elem_start, part.elem_stop = start, stop
+        with pytest.raises(ValueError, match=message):
+            PartitionLayout(mesh, num, parts)
+
     def test_single_partition_no_messages(self, setup443):
         _, mesh, _, num = setup443
         layout = PartitionLayout(mesh, num, partition_columns(mesh, 1))
@@ -214,11 +234,11 @@ class TestPartitionedAssembly:
                 if t == u:
                     continue
                 sends = u in layout.plans[t].msg_send
-                recvs = t in layout.plans[u].recv_slots
+                recvs = t in layout.plans[u].recv_len
                 assert sends == recvs
                 if sends:
                     assert (layout.plans[t].msg_send[u].size
-                            == layout.plans[u].recv_slots[t].size)
+                            == layout.plans[u].recv_len[t])
 
     def test_protocol_error_on_bad_length(self, setup443):
         _, mesh, _, num = setup443
@@ -248,7 +268,7 @@ class TestAssemblyPlan:
         for num in restricted_numberings(order, n_parts):
             c = rng.standard_normal((*num.global_ids.shape, N_VARS))
             c = np.where(rng.random(c.shape) < 0.3, -0.0, c)
-            assert (storage._accumulate(c, num).tobytes()
+            assert (storage._accumulate(c, num.assembly_plan).tobytes()
                     == accumulate_by_color(c, num).tobytes())
 
     @pytest.mark.parametrize("n_parts", [1, 2, 4])
@@ -257,7 +277,10 @@ class TestAssemblyPlan:
         for num in restricted_numberings(order, n_parts):
             point_pos, chunks = num.assembly_plan
             gids = num.global_ids.ravel()
-            color = np.repeat(num.elem_color, num.n_node_per_elem)
+            color = np.empty(num.global_ids.shape[0], dtype=np.int64)
+            for c, batch in enumerate(num.color_batches):
+                color[batch] = c
+            color = np.repeat(color, num.n_node_per_elem)
             count = np.bincount(gids, minlength=num.n_unique)
             assert np.array_equal(np.sort(np.concatenate(chunks)),
                                   np.arange(gids.size))
@@ -437,7 +460,7 @@ class TestSnapshot:
         rng = np.random.default_rng(3)
         vals = rng.standard_normal((5, 27, N_VARS))
         path = tmp_path / "dg.bin"
-        write_snapshot(path, vals, order=2, layout="dg", n_elements=5)
+        write_snapshot(path, vals, order=2, layout="dg")
         got, meta = read_snapshot(path)
         assert np.array_equal(got, vals)
         assert meta["n_elements"] == 5
@@ -459,10 +482,19 @@ class TestSnapshot:
 
     def test_dg_rows_not_whole_elements(self, tmp_path):
         path = tmp_path / "dg.bin"
-        write_snapshot(path, np.zeros((5, 27, N_VARS)), order=2, layout="dg",
-                       n_elements=4)
+        write_snapshot(path, np.zeros((5, 27, N_VARS)), order=2, layout="dg")
+        data = bytearray(path.read_bytes())
+        data[24:32] = (4).to_bytes(8, "little")   # the element count
+        path.write_bytes(bytes(data))
         with pytest.raises(ProtocolError, match="135 rows"):
             read_snapshot(path)
+
+    def test_dg_block_not_of_order_is_refused(self, tmp_path):
+        path = tmp_path / "dg.bin"
+        with pytest.raises(ValueError, match="27 nodes per element"):
+            write_snapshot(path, np.zeros((5, 27, N_VARS)), order=3,
+                           layout="dg")
+        assert not path.exists()
 
     def test_truncated_payload(self, tmp_path, setup443):
         _, mesh, _, num = setup443
