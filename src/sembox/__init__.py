@@ -12,8 +12,8 @@ The package has two halves that share a vocabulary:
 from .reference_element import ReferenceElement, lobatto_points
 from .mesh import (build_box_mesh, compute_metrics, build_cg_numbering,
                    partition_columns, morton_encode, morton_decode)
-from .storage import scatter, dss, PartitionLayout, halo_exchange
-from .dynamics import GasConstants, Discretization, create_rhs
+from .storage import PartitionLayout, halo_exchange
+from .dynamics import GasConstants, Discretization
 from .time_integration import RkScheme, TimestepControl, rk_step, compute_dt
 from .perf_model import MachineModel, SimConfig, KernelCost, count_costs
 from .harness import BubbleConfig, run_bubble, scale_experiment
@@ -22,8 +22,8 @@ __all__ = [
     "ReferenceElement", "lobatto_points",
     "build_box_mesh", "compute_metrics", "build_cg_numbering",
     "partition_columns", "morton_encode", "morton_decode",
-    "scatter", "dss", "PartitionLayout", "halo_exchange",
-    "GasConstants", "Discretization", "create_rhs",
+    "PartitionLayout", "halo_exchange",
+    "GasConstants", "Discretization",
     "RkScheme", "TimestepControl", "rk_step", "compute_dt",
     "MachineModel", "SimConfig", "KernelCost", "count_costs",
     "BubbleConfig", "run_bubble", "scale_experiment",

@@ -16,10 +16,10 @@ form to round-off; on trilinear mapped elements it is the conservative
 form and keeps a uniform flow uniform only for p >= 2, where the
 discrete metric identities hold (at p = 1 a mapped 2x2x2 box leaves a
 free-stream residual of order 1e-3 relative to the flux change across an
-element).  The kernel produces J*w-weighted contributions; the storage
-module assembles them into unique grid points.  The pressure, filter and
-wall policies serve the serial operators and the partition workers
-alike.
+element).  The kernel produces J*w-weighted contributions; the partition
+workers in ``harness`` assemble them into unique grid points through
+``storage.PartitionLayout.exchange``, the engine's one assembly (serial
+is its one-partition case).
 """
 
 from dataclasses import dataclass
@@ -28,8 +28,7 @@ import numpy as np
 
 from .mesh import MetricTerms, CgNumbering
 from .reference_element import ReferenceElement
-from .storage import (N_VARS, SCHEME_CG, SCHEME_DG, ENGINE_SCHEMES,
-                      ReferenceAtmosphere, dss)
+from .storage import N_VARS, SCHEME_DG, ReferenceAtmosphere
 
 
 class StateValidityError(ValueError):
@@ -141,7 +140,7 @@ def _contract(D: np.ndarray, src: np.ndarray, dst: np.ndarray, axis: int):
 def rhs_element_contributions(state_cg: np.ndarray, gids: np.ndarray,
                               ra_el: np.ndarray, metrics: MetricTerms,
                               ref: ReferenceElement, const: GasConstants,
-                              ws: RhsWorkspace | None = None,
+                              ws: RhsWorkspace,
                               p_prime_el: np.ndarray | None = None) -> np.ndarray:
     """J*w-weighted RHS contribution of every element at ``gids`` (E, n^3).
 
@@ -158,9 +157,11 @@ def rhs_element_contributions(state_cg: np.ndarray, gids: np.ndarray,
 
     ``state_cg`` holds the points ``gids`` indexes; ``ra_el`` is the
     background at the element nodes, (3, E, n^3) as :func:`element_soa`
-    gathers it.  When the perturbation pressure was already evaluated at
-    unique points (CG storage), it is passed in; DG storage evaluates it
-    here, per duplicated node.  Returns a C-contiguous (E, n, n, n, 5).
+    gathers it; ``ws`` holds the kernel's buffers for E elements
+    (:meth:`RhsWorkspace.create`).  When the perturbation pressure was
+    already evaluated at unique points (CG storage), it is passed in; DG
+    storage evaluates it here, per duplicated node.  Returns a
+    C-contiguous (E, n, n, n, 5).
     """
     n = ref.n_nodes
     E = gids.shape[0]
@@ -169,8 +170,6 @@ def rhs_element_contributions(state_cg: np.ndarray, gids: np.ndarray,
     if not np.all(np.isfinite(q)):
         raise DivergedStateError(
             _first_bad_element(q.reshape(N_VARS, E, -1), axis=1))
-    if ws is None:
-        ws = RhsWorkspace.create(E, n)
     ra = ra_el.reshape(3, m)
 
     if p_prime_el is None:
@@ -228,25 +227,6 @@ def element_pressure(state_cg: np.ndarray, gids: np.ndarray,
     return p_cg[gids]
 
 
-def create_rhs(state_cg: np.ndarray, disc: Discretization, const: GasConstants,
-               ra: ReferenceAtmosphere, scheme: str = SCHEME_CG) -> np.ndarray:
-    """Assembled RHS (CG layout) of the discrete equations, serial path.
-
-    Both storage schemes run the same mathematics; they differ in whether
-    the pressure is evaluated at unique points (CG) or per duplicated
-    element node (DG).  Results agree to round-off.
-    """
-    if scheme not in ENGINE_SCHEMES:
-        raise ValueError(f"unknown storage scheme {scheme!r}")
-    gids = disc.numbering.global_ids
-    p_el = element_pressure(state_cg, gids, ra, const, scheme)
-    contrib = rhs_element_contributions(state_cg, gids,
-                                        element_soa(ra.cg, gids),
-                                        disc.metrics, disc.ref, const,
-                                        p_prime_el=p_el)
-    return dss(contrib, disc.numbering)
-
-
 def filter_element(state_el: np.ndarray, ref: ReferenceElement) -> np.ndarray:
     """Tensor-product application of the modal filter inside each element.
 
@@ -272,14 +252,6 @@ def filter_contributions(state_cg: np.ndarray, gids: np.ndarray,
     if ref.filter_mu == 0.0:
         return None
     return filter_element(state_cg[gids], ref) * jw[..., None]
-
-
-def apply_filter(state_cg: np.ndarray, disc: Discretization) -> np.ndarray:
-    """Filter each element, then restore continuity by mass-weighted DSS."""
-    num = disc.numbering
-    contrib = filter_contributions(state_cg, num.global_ids, disc.metrics.jw,
-                                   disc.ref)
-    return state_cg if contrib is None else dss(contrib, num)
 
 
 def apply_boundary(state_cg: np.ndarray, numbering: CgNumbering) -> np.ndarray:

@@ -9,12 +9,12 @@ partition runs in its own worker, started by ``storage.Mailboxes.run``
 only cross-worker data are the halo messages, which travel through those
 mailboxes.  A worker holds its state, stages and diagnostics only at the
 points its partition touches, in the partition's local numbering, and
-keeps only its phase timing and stage loop; pressure, filter, walls and
-the exchange sequence are the serial operators' own code (``dynamics``,
-``PartitionLayout.exchange``) run on those local arrays, so any worker
-count gives ``rk_step`` over ``create_rhs`` bit for bit.  A worker that
-stops, for instance with ``storage.MessageLost``, stops the others
-through ``Mailboxes.run``; ``run_bubble`` raises the lowest fault.
+keeps only its phase timing and stage loop.  Its ``_rhs`` and ``_filter``
+(``dynamics`` kernels, then ``PartitionLayout.exchange``) are the
+engine's only RHS and filter; one worker is the serial run, and any
+worker count gives ``rk_step`` over a serial assembly bit for bit.  A
+worker that stops, for instance with ``storage.MessageLost``, stops the
+others through ``Mailboxes.run``; ``run_bubble`` raises the lowest fault.
 """
 
 from dataclasses import dataclass, fields

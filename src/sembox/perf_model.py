@@ -168,15 +168,6 @@ class SimConfig:
         return self.points_dg if self.scheme == SCHEME_DG else self.points_cg
 
 
-def contraction_flops(p: int, n_elements: float = 1.0, n_vars: int = 1,
-                      n_directions: int = 1) -> float:
-    """Flops of the 1D derivative contraction: (p+1) MACs per node.
-
-    One direction of one variable on one element costs 2 (p+1)^4.
-    """
-    return 2.0 * (p + 1) ** 4 * n_elements * n_vars * n_directions
-
-
 def line_inflation(run_bytes: float, line_bytes: int = 128) -> float:
     """Traffic factor when a contiguous run is fetched by whole lines."""
     return line_bytes / min(run_bytes, line_bytes)

@@ -16,12 +16,13 @@ that order at its point (:meth:`CgNumbering.entry_rank`), and one kernel
 sums them rank by rank from +0.0 (:func:`_accumulate` over a
 :func:`~sembox.mesh.rank_major_plan`: one gather per rank, added into
 the prefix of points that have that rank).  It runs over a partition's
-own elements, as serial assembly does over the whole mesh, and over the
-contributions at nodes shared between partitions: those are serialized
-in element order and exchanged raw (one value per contributing
-element), each keeping its rank in the whole mesh.
+own elements and over the contributions at nodes shared between
+partitions: those are serialized in element order and exchanged raw
+(one value per contributing element), each keeping its rank in the whole
+mesh.
 
-:meth:`PartitionLayout.exchange` is the one partitioned assembly,
+:meth:`PartitionLayout.exchange` is the engine's one assembly (serial is
+its one-partition case),
 :class:`Mailboxes` its one in-process transport (one FIFO per sending
 pair) and :meth:`Mailboxes.run` the one launcher of partitioned work
 (partition 0 on the calling thread), used by the run's workers and by
@@ -58,17 +59,6 @@ class ProtocolError(RuntimeError):
     """Halo message does not match the precomputed exchange plan."""
 
 
-def scatter(cg: np.ndarray, numbering: CgNumbering) -> np.ndarray:
-    """CG field -> per-element duplicated (DG-layout) field."""
-    return cg[numbering.global_ids]
-
-
-def gather_bytes(numbering: CgNumbering, n_elements: int) -> tuple[int, int]:
-    """(bytes of DG layout, bytes of CG layout) for the prognostic state."""
-    nn = numbering.n_node_per_elem
-    return n_elements * nn * N_VARS * 8, numbering.n_unique * N_VARS * 8
-
-
 def _accumulate(values: np.ndarray, plan: tuple[np.ndarray, list]) -> np.ndarray:
     """Sum of the entries (rows of ``values`` over its last axis) at each
     point: a :func:`~sembox.mesh.rank_major_plan` run as rank 0 of every
@@ -82,19 +72,6 @@ def _accumulate(values: np.ndarray, plan: tuple[np.ndarray, list]) -> np.ndarray
     for chunk in chunks[1:]:
         acc[:chunk.size] += np.take(flat, chunk, axis=0)
     return np.take(acc, point_pos, axis=0)
-
-
-def dss(contrib: np.ndarray, numbering: CgNumbering) -> np.ndarray:
-    """Serial direct stiffness summation of per-element contributions.
-
-    ``contrib`` has DG layout and already carries the J*w weighting, as the
-    right-hand-side kernel produces it.  Contributions at a shared point are
-    summed in ascending (color, element) order, then multiplied by the
-    inverse mass.
-    """
-    acc = _accumulate(contrib, numbering.assembly_plan)
-    acc *= numbering.inv_mass[:, None]
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +110,8 @@ class PartitionLayout:
     serialization, so send and receive sides agree on the layout by
     construction.  The fold sums own and received entries rank by rank
     from +0.0 (:class:`_PartPlan`), with ranks from the whole mesh's
-    color order, which is the serial assembly's order at every shared
-    point and keeps results bit-identical to it.
+    color order, so every partition count, one included, sums each
+    point in the same order and gives the same bits.
     """
 
     def __init__(self, mesh: ColumnMesh, numbering: CgNumbering,
@@ -408,6 +385,8 @@ def write_snapshot(path, values: np.ndarray, order: int,
     layout stores (E, (p+1)^3, n_vars) in element order, x fastest, and
     the header records E.
     """
+    if layout not in _LAYOUT_TAGS:
+        raise ValueError(f"unknown snapshot layout {layout!r}")
     arr = np.ascontiguousarray(values, dtype="<f8")
     nv = arr.shape[-1]
     n_elements = arr.shape[0] if layout == "dg" else 0

@@ -12,7 +12,7 @@ right-hand side (with its exchange) -> state update -> wall projection,
 five times, then the filter (with its own exchange).  Every
 configuration here is fully explicit.  The partition workers in
 ``harness`` run the same stage loop with their own phase timing; a test
-pins their result to this one bit for bit.
+pins them bit for bit to this stepper over the tests' serial operators.
 """
 
 from dataclasses import dataclass

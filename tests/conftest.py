@@ -4,8 +4,8 @@ import sys
 
 import pytest
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                   "src")
+TESTS = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(os.path.dirname(TESTS), "src")
 
 
 def pytest_runtest_logreport(report):
@@ -19,15 +19,17 @@ def pytest_runtest_logreport(report):
 
 @pytest.fixture
 def run_python():
-    """Run a script in a fresh interpreter that imports this ``sembox``.
+    """Run a script in a fresh interpreter that imports this ``sembox``
+    and the tests' ``oracles``.
 
-    A fault that is not contained hangs a threaded run; the liveness
-    timeout turns that into a failure instead of a stuck suite.
+    Keyword arguments are set in its environment.  A fault that is not
+    contained hangs a threaded run; the liveness timeout turns that into
+    a failure instead of a stuck suite.
     """
-    def run(script):
+    def run(script, **environ):
         path = os.environ.get("PYTHONPATH")
-        env = dict(os.environ,
-                   PYTHONPATH=SRC if not path else os.pathsep.join([SRC, path]))
+        env = dict(os.environ, **environ, PYTHONPATH=os.pathsep.join(
+            [SRC, TESTS] + ([path] if path else [])))
         return subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, timeout=300)
     return run

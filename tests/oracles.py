@@ -9,18 +9,26 @@ along each of the three reference directions, and the inverse Jacobian
 applied by the chain rule.  On affine elements the two agree to
 round-off; ``mapped_box_mesh`` builds elements where they do not.
 
+Serial operators: the engine assembles only through
+``PartitionLayout.exchange`` (serial is its one-partition case).  The
+serial right-hand side, filter and direct stiffness summation here run
+the engine's element kernels on the whole mesh and assemble them with
+the color-batch loop, the canonical summation order by definition; the
+partitioned runs must match them bit for bit.
+
 The small helpers at the end evaluate, by definition, what the engine
-computes in bulk: the color-batch assembly loop, a Lagrange cardinal
-polynomial, the mass integral, a column's elements, the forward Euler
-scheme, and the CSV table read back.
+computes in bulk: a Lagrange cardinal polynomial, the mass integral, a
+column's elements, the forward Euler scheme, and the CSV table read back.
 """
 
 import numpy as np
 
-from sembox.dynamics import pressure
+from sembox.dynamics import (RhsWorkspace, element_pressure, element_soa,
+                             filter_contributions, pressure,
+                             rhs_element_contributions as engine_contributions)
 from sembox.mesh import build_box_mesh
 from sembox.perf_model import SCHEME_LABELS
-from sembox.storage import N_VARS
+from sembox.storage import N_VARS, SCHEME_CG
 from sembox.time_integration import RkScheme
 
 
@@ -122,6 +130,32 @@ def accumulate_by_color(contrib, numbering) -> np.ndarray:
     for batch in numbering.color_batches:
         acc[numbering.global_ids[batch].ravel()] += flat[batch].reshape(-1, nv)
     return acc
+
+
+def dss(contrib, numbering) -> np.ndarray:
+    """Serial direct stiffness summation of J*w-weighted DG-layout
+    contributions: the color-batch sum times the inverse mass."""
+    return accumulate_by_color(contrib, numbering) * numbering.inv_mass[:, None]
+
+
+def create_rhs(state_cg, disc, const, ra, scheme=SCHEME_CG) -> np.ndarray:
+    """Assembled RHS (CG layout) of the whole mesh: the engine's element
+    kernel over every element, then :func:`dss`."""
+    gids = disc.numbering.global_ids
+    contrib = engine_contributions(
+        state_cg, gids, element_soa(ra.cg, gids), disc.metrics, disc.ref,
+        const, RhsWorkspace.create(gids.shape[0], disc.ref.n_nodes),
+        p_prime_el=element_pressure(state_cg, gids, ra, const, scheme))
+    return dss(contrib, disc.numbering)
+
+
+def apply_filter(state_cg, disc) -> np.ndarray:
+    """Filter each element, then restore continuity by :func:`dss`; the
+    state itself when the filter is off."""
+    num = disc.numbering
+    contrib = filter_contributions(state_cg, num.global_ids, disc.metrics.jw,
+                                   disc.ref)
+    return state_cg if contrib is None else dss(contrib, num)
 
 
 def lagrange_eval(points, i: int, xi: float) -> float:

@@ -17,13 +17,15 @@ from sembox.mesh import (build_box_mesh, build_cg_numbering,
                          morton_decode, morton_encode, partition_columns,
                          partition_quality)
 from sembox.storage import SCHEME_CG, SCHEME_DG, SCHEME_HYBRID, SCHEMES
-from sembox.dynamics import GasConstants, create_rhs
+from sembox.dynamics import GasConstants
 from sembox.harness import (BubbleConfig, build_discretization, init_bubble,
                             run_bubble, scale_experiment)
 from sembox.time_integration import rk_step
 from sembox.perf_model import (
     BUBBLE_CONFIG, Calibration, MachineModel, PRESET_SHEETS, count_costs,
     order_sweep, random_access_penalty, roofline_time, sheet_table)
+
+from oracles import create_rhs
 
 MACHINE = MachineModel()
 CONST = GasConstants()

@@ -4,17 +4,17 @@ import sympy as sp
 
 from sembox.reference_element import ReferenceElement, legendre
 from sembox.mesh import build_cg_numbering, compute_metrics
-from sembox.storage import (N_VARS, SCHEME_CG, SCHEME_DG, ReferenceAtmosphere,
-                            scatter)
+from sembox.storage import N_VARS, SCHEME_CG, SCHEME_DG, ReferenceAtmosphere
 from sembox.dynamics import (
-    Discretization, DivergedStateError, GasConstants, StateValidityError,
-    apply_boundary, apply_filter, create_rhs, element_pressure, element_soa,
+    Discretization, DivergedStateError, GasConstants, RhsWorkspace,
+    StateValidityError, apply_boundary, element_pressure, element_soa,
     pressure, rhs_element_contributions,
 )
 from sembox.harness import BubbleConfig, build_discretization, init_bubble
 
 import oracles
-from oracles import flux, local_derivative, total_mass
+from oracles import (apply_filter, create_rhs, flux, local_derivative,
+                     total_mass)
 
 CONST = GasConstants()
 
@@ -264,9 +264,10 @@ class TestContravariantKernel:
         state[:, 4] *= 1.0 + 0.01 * rng.standard_normal(state.shape[0])
         gids = disc.numbering.global_ids
         p_el = element_pressure(state, gids, ra, CONST, scheme)
-        got = rhs_element_contributions(state, gids, element_soa(ra.cg, gids),
-                                        disc.metrics, disc.ref, CONST,
-                                        p_prime_el=p_el)
+        got = rhs_element_contributions(
+            state, gids, element_soa(ra.cg, gids), disc.metrics, disc.ref,
+            CONST, RhsWorkspace.create(gids.shape[0], disc.ref.n_nodes),
+            p_prime_el=p_el)
         want = oracles.rhs_element_contributions(
             state[gids], ra.cg[gids], disc.metrics, disc.ref, CONST,
             p_prime_el=p_el)
@@ -318,7 +319,7 @@ class TestFilterApplication:
         out = apply_filter(state, disc)
         # modal content along each x-line of the element
         Vi = ref.vandermonde_inv
-        el = scatter(out[:, :1], disc.numbering).reshape(4, 4, 4)
+        el = out[disc.numbering.global_ids, 0].reshape(4, 4, 4)
         sigma3 = ref.filter_matrix @ ref.vandermonde[:, 3]
         expect_mode3 = (Vi @ sigma3)[3]
         for k in range(4):

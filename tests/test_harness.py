@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 from sembox import harness
-from sembox.dynamics import (GasConstants, apply_boundary, apply_filter,
-                             create_rhs)
+from sembox.dynamics import GasConstants, apply_boundary
 from sembox.harness import (
     BubbleConfig, ConfigError, build_discretization, init_bubble, run_bubble,
     scale_csv, scale_experiment, scale_table, strong_scaling_efficiency,
 )
 from sembox.storage import read_snapshot
 from sembox.time_integration import TimestepControl, compute_dt, rk_step
+
+from oracles import apply_filter, create_rhs
 
 CONST = GasConstants()
 
@@ -175,8 +176,8 @@ class TestRunBubble:
 
 class TestSerialEquivalence:
     """The partition workers step exactly as ``rk_step`` over the serial
-    operators does, with the filter on and off.  At four partitions every
-    column of the 2x2 mesh is its own partition."""
+    reference operators (``oracles``) does, with the filter on and off.
+    At four partitions every column of the 2x2 mesh is its own partition."""
 
     @pytest.mark.parametrize("n_partitions", [1, 2, 4])
     @pytest.mark.parametrize("filter_mu", [BubbleConfig().filter_mu, 0.0])
@@ -204,6 +205,29 @@ class TestSerialEquivalence:
                             filter_fn=lambda s: walls(apply_filter(s, disc)),
                             boundary_fn=walls)
         assert np.array_equal(final, state)
+
+
+# the default bubble at one and two workers, one final-state digest a line;
+# run in a subprocess by the run_python fixture (conftest.py)
+DIGEST_SCRIPT = """
+import hashlib
+from sembox.harness import BubbleConfig, run_bubble
+
+for n_partitions in (1, 2):
+    _, state = run_bubble(BubbleConfig(n_steps=3), n_partitions=n_partitions)
+    print(hashlib.sha256(state.tobytes()).hexdigest())
+"""
+
+
+def test_state_is_independent_of_blas_threads(run_python):
+    """The bitwise contract holds whatever thread count OpenBLAS runs at:
+    every contraction batch entry is one element's product."""
+    digests = []
+    for threads in ("1", "2"):
+        proc = run_python(DIGEST_SCRIPT, OPENBLAS_NUM_THREADS=threads)
+        assert proc.returncode == 0, proc.stderr
+        digests += proc.stdout.split()
+    assert len(digests) == 4 and len(set(digests)) == 1, digests
 
 
 class TestDivergence:

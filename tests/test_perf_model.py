@@ -6,7 +6,7 @@ import pytest
 from sembox.storage import SCHEME_CG, SCHEME_DG, SCHEME_HYBRID, SCHEMES
 from sembox.perf_model import (
     BUBBLE_CALIBRATIONS, BUBBLE_CONFIG, PLANETARY_CONFIG, PRESET_SHEETS,
-    Calibration, KernelCost, MachineModel, SimConfig, contraction_flops,
+    Calibration, KernelCost, MachineModel, SimConfig,
     count_costs, derived_columns, emit_csv, emit_table, fit_calibration,
     line_inflation, model_table, order_sweep, percent_max,
     percent_peak, random_access_penalty, roofline_time, sheet_table,
@@ -94,11 +94,6 @@ class TestCountCosts:
         # doubling one direction doubles duplicated-point work; unique
         # points grow slightly sublinearly, so compare per-kernel pieces
         assert c2.flops > 1.9 * c1.flops
-
-    def test_contraction_unit(self):
-        assert contraction_flops(3) == 512.0
-        assert contraction_flops(3, n_elements=2, n_vars=5, n_directions=3) \
-            == 512.0 * 30
 
     def test_dg_over_cg_flop_ratio(self):
         cg = count_costs(RAW_BUBBLE)["total"]

@@ -9,10 +9,9 @@ from sembox.mesh import (build_box_mesh, build_cg_numbering, compute_metrics,
 from sembox import storage
 from sembox.storage import (
     N_VARS, Mailboxes, MessageLost, NeighborStopped, PartitionLayout,
-    ProtocolError, dss, gather_bytes, halo_exchange, read_snapshot, scatter,
-    write_snapshot,
+    ProtocolError, halo_exchange, read_snapshot, write_snapshot,
 )
-from oracles import accumulate_by_color
+from oracles import accumulate_by_color, dss
 
 
 @pytest.fixture(scope="module")
@@ -25,45 +24,27 @@ def setup443():
 
 
 def weighted(cg, metrics, numbering, mesh):
-    dg = scatter(cg, numbering)
-    return dg * metrics.jw.reshape(mesh.n_elements, -1)[:, :, None]
+    """J*w-weighted copies of ``cg`` at every element node (DG layout)."""
+    return cg[numbering.global_ids] * metrics.jw.reshape(mesh.n_elements,
+                                                         -1)[:, :, None]
+
+
+def assemble(contrib, mesh, numbering):
+    """The engine's assembly of the whole mesh: one-partition exchange."""
+    layout = PartitionLayout(mesh, numbering, partition_columns(mesh, 1))
+    return halo_exchange(layout, [contrib])[0]
 
 
 class TestScatterDss:
-    def test_scatter_constant(self, setup443):
-        _, mesh, _, num = setup443
-        cg = np.full((num.n_unique, N_VARS), 7.5)
-        dg = scatter(cg, num)
-        assert np.all(dg == 7.5)
-        assert dg.shape == (mesh.n_elements, 64, N_VARS)
-
-    def test_single_element_is_copy(self):
-        ref = ReferenceElement.create(2)
-        mesh = build_box_mesh(1, 1, 1, 1.0, 1.0, 1.0)
-        num = build_cg_numbering(mesh, ref)
-        cg = np.arange(num.n_unique * N_VARS, dtype=float).reshape(-1, N_VARS)
-        dg = scatter(cg, num)
-        assert np.array_equal(dg[0], cg[num.global_ids[0]])
-
-    def test_interface_duplicates_equal(self, setup443):
-        _, mesh, _, num = setup443
-        rng = np.random.default_rng(0)
-        cg = rng.standard_normal((num.n_unique, N_VARS))
-        dg = scatter(cg, num)
-        flat_ids = num.global_ids.ravel()
-        flat_vals = dg.reshape(-1, N_VARS)
-        # group by id: all copies identical
-        order = np.argsort(flat_ids, kind="stable")
-        ids_sorted = flat_ids[order]
-        vals_sorted = flat_vals[order]
-        same_group = ids_sorted[1:] == ids_sorted[:-1]
-        assert np.all(vals_sorted[1:][same_group] == vals_sorted[:-1][same_group])
+    """Properties of the engine's assembly on one partition: scatter a
+    field to the element nodes (``cg[global_ids]``), weight it by J*w,
+    assemble."""
 
     def test_scatter_then_dss_roundtrip(self, setup443):
         ref, mesh, metrics, num = setup443
         rng = np.random.default_rng(1)
         cg = rng.standard_normal((num.n_unique, N_VARS))
-        back = dss(weighted(cg, metrics, num, mesh), num)
+        back = assemble(weighted(cg, metrics, num, mesh), mesh, num)
         assert np.abs(back - cg).max() < 1e-14
 
     def test_two_stacked_elements_hand_assembly(self):
@@ -74,7 +55,7 @@ class TestScatterDss:
         num = build_cg_numbering(mesh, ref, metrics)
         c = 3.25
         contrib = np.full((2, 64, 1), c)
-        out = dss(contrib, num)
+        out = assemble(contrib, mesh, num)
         # every point receives c per touching element, divided by the
         # assembled mass: face points have twice the mass and twice the sum
         expect = c * np.array([num.global_ids.ravel().tolist().count(g)
@@ -92,7 +73,7 @@ class TestScatterDss:
         ref, mesh, metrics, num = setup443
         f = (lambda c: np.sin(c[:, 0] / 300.0) + 0.1 * c[:, 2] / 1000.0)
         cg = np.repeat(f(num.node_coords)[:, None], N_VARS, axis=1)
-        out = dss(weighted(cg, metrics, num, mesh), num)
+        out = assemble(weighted(cg, metrics, num, mesh), mesh, num)
         assert np.abs(out - cg).max() < 1e-13
 
 
@@ -122,7 +103,8 @@ import sys
 import numpy as np
 from sembox.reference_element import ReferenceElement
 from sembox.mesh import build_box_mesh, build_cg_numbering, partition_columns
-from sembox.storage import N_VARS, PartitionLayout, dss, halo_exchange
+from sembox.storage import N_VARS, PartitionLayout, halo_exchange
+from oracles import dss
 
 mesh = build_box_mesh(4, 4, 3, 1000.0, 1000.0, 1000.0)
 num = build_cg_numbering(mesh, ReferenceElement.create(3))
@@ -423,24 +405,14 @@ class TestRestrict:
 
 
 class TestMemoryAccounting:
-    def test_duplication_factor(self, setup443):
-        _, mesh, _, num = setup443
-        dg_bytes, cg_bytes = gather_bytes(num, mesh.n_elements)
-        assert dg_bytes / cg_bytes == pytest.approx(
-            64 * mesh.n_elements / num.n_unique, rel=1e-12)
-
-    def test_dg_layout_stride(self, setup443):
-        # element blocks are contiguous, (p+1)^3 * n_vars values apart
-        _, mesh, _, num = setup443
-        dg = scatter(np.zeros((num.n_unique, N_VARS)), num)
-        assert dg.flags["C_CONTIGUOUS"]
-        assert dg.strides[0] == 64 * N_VARS * 8
-
     def test_matches_model_duplication(self, setup443):
-        # the byte ratio equals what the cost model charges DG storage
+        # the byte ratio of the two layouts' prognostic state equals what
+        # the cost model charges DG storage
         from sembox.perf_model import SimConfig
         _, mesh, _, num = setup443
-        dg_bytes, cg_bytes = gather_bytes(num, mesh.n_elements)
+        cg = np.zeros((num.n_unique, N_VARS))
+        dg_bytes, cg_bytes = cg[num.global_ids].nbytes, cg.nbytes
+        assert dg_bytes == mesh.n_elements * 64 * N_VARS * 8
         sim = SimConfig(order=3, elements=(4, 4, 3), machines=1, timesteps=1)
         assert dg_bytes / cg_bytes == pytest.approx(sim.duplication, rel=1e-12)
 
@@ -494,6 +466,12 @@ class TestSnapshot:
         with pytest.raises(ValueError, match="27 nodes per element"):
             write_snapshot(path, np.zeros((5, 27, N_VARS)), order=3,
                            layout="dg")
+        assert not path.exists()
+
+    def test_unknown_layout_name_is_refused_before_open(self, tmp_path):
+        path = tmp_path / "state.bin"
+        with pytest.raises(ValueError, match="unknown snapshot layout 'CG'"):
+            write_snapshot(path, np.zeros((4, N_VARS)), 2, layout="CG")
         assert not path.exists()
 
     def test_truncated_payload(self, tmp_path, setup443):
