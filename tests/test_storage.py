@@ -405,6 +405,14 @@ class TestRestrict:
 
 
 class TestMemoryAccounting:
+    def test_duplication_factor(self, setup443):
+        # DG storage holds every element's (p+1)^3 points, CG each point once
+        _, mesh, _, num = setup443
+        cg = np.zeros((num.n_unique, N_VARS))
+        dg_bytes, cg_bytes = cg[num.global_ids].nbytes, cg.nbytes
+        assert dg_bytes / cg_bytes == pytest.approx(
+            64 * mesh.n_elements / num.n_unique, rel=1e-12)
+
     def test_matches_model_duplication(self, setup443):
         # the byte ratio of the two layouts' prognostic state equals what
         # the cost model charges DG storage
