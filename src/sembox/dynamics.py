@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import MetricTerms, CgNumbering
-from .reference_element import ReferenceElement
+from .reference_element import ReferenceElement, contract
 from .storage import N_VARS, SCHEME_DG, ReferenceAtmosphere
 
 
@@ -120,23 +120,6 @@ def _first_bad_element(arr: np.ndarray, axis: int = 0) -> int:
     return int(np.argmax(np.any(bad, axis=1)))
 
 
-def _contract(D: np.ndarray, src: np.ndarray, dst: np.ndarray, axis: int):
-    """Apply D along one node axis of (E, n, n, n, ...) into dst.
-
-    The contraction runs as a batched matrix product on reshaped views:
-    grouping the leading axes and flattening the trailing ones leaves the
-    contracted axis in the middle, which is much faster than the general
-    einsum path.  ``axis`` counts node axes: 0 = z, 1 = y, 2 = x.  Each
-    batch entry is a product within one element, so the result does not
-    depend on how many elements the batch holds.
-    """
-    E, n = src.shape[0], D.shape[0]
-    lead = E * n ** axis
-    trail = src.size // (lead * n)
-    np.matmul(D, src.reshape(lead, n, trail), out=dst.reshape(lead, n, trail))
-    return dst
-
-
 def rhs_element_contributions(state_cg: np.ndarray, gids: np.ndarray,
                               ra_el: np.ndarray, metrics: MetricTerms,
                               ref: ReferenceElement, const: GasConstants,
@@ -184,9 +167,9 @@ def rhs_element_contributions(state_cg: np.ndarray, gids: np.ndarray,
     D = ref.diff_matrix
     np.matmul(F[0].reshape(-1, n), np.ascontiguousarray(D.T),
               out=ws.div.reshape(-1, n))
-    _contract(D, F[1].reshape(-1, n, n, n), F[0], 1)
+    contract(D, F[1].reshape(-1, n, n, n), F[0], 1)
     ws.div += F[0]
-    _contract(D, F[2].reshape(-1, n, n, n), F[1], 0)
+    contract(D, F[2].reshape(-1, n, n, n), F[1], 0)
     ws.div += F[1]
 
     contrib = np.empty((E, n, n, n, N_VARS))
@@ -238,10 +221,10 @@ def filter_element(state_el: np.ndarray, ref: ReferenceElement) -> np.ndarray:
     E = state_el.shape[0]
     q = np.ascontiguousarray(state_el.reshape(E, n, n, n, -1))
     scratch = np.empty_like(q)
-    _contract(F, q, scratch, 0)
+    contract(F, q, scratch, 0)
     out = np.empty_like(q)
-    _contract(F, scratch, out, 1)
-    _contract(F, out, scratch, 2)
+    contract(F, scratch, out, 1)
+    contract(F, out, scratch, 2)
     return scratch
 
 

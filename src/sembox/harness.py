@@ -203,7 +203,10 @@ class RunReport:
     """Timings, per-step diagnostics and run metadata.
 
     ``total_seconds`` covers the timed step loop (warm-up excluded) on the
-    slowest worker; ``wall_seconds`` the whole run including setup.
+    slowest worker; ``wall_seconds`` the partitioned run, from starting
+    the workers to their join, warm-up included; ``setup_seconds`` what
+    comes before it, from building the discretization to constructing
+    the workers.
     """
 
     n_partitions: int
@@ -212,6 +215,7 @@ class RunReport:
     phase_seconds: dict
     total_seconds: float
     wall_seconds: float
+    setup_seconds: float
     timed_steps: int
     diagnostics: list
     cores: int
@@ -241,6 +245,7 @@ class RunReport:
         lines = [
             f"partitions: {self.n_partitions}  steps: {self.n_steps}  dt: {self.dt:.6g} s",
             f"wall time: {self.total_seconds:.3f} s over {self.timed_steps} timed steps",
+            f"set-up time: {self.setup_seconds:.3f} s",
         ]
         if self.oversubscribed:
             lines.append(f"note: {self.n_partitions} workers oversubscribe "
@@ -417,6 +422,7 @@ def run_bubble(config: BubbleConfig, n_partitions: int = 1,
     """
     config.validate()
     const = const or GasConstants()
+    setup0 = time.perf_counter()
     disc = build_discretization(config)
     state0, ra = init_bubble(config, disc, const)
 
@@ -434,6 +440,7 @@ def run_bubble(config: BubbleConfig, n_partitions: int = 1,
                        dt, n_steps, snapshot_every) for part in parts]
 
     wall0 = time.perf_counter()
+    setup = wall0 - setup0
     _, errors = mail.run(lambda t: workers[t].run(state0))
     wall = time.perf_counter() - wall0
     stopped = [(w, exc) for w, exc in zip(workers, errors) if exc is not None]
@@ -465,6 +472,7 @@ def run_bubble(config: BubbleConfig, n_partitions: int = 1,
         phase_seconds=dict(slowest.phase_seconds),
         total_seconds=slowest.loop_seconds,
         wall_seconds=wall,
+        setup_seconds=setup,
         timed_steps=timed_steps,
         diagnostics=diags, cores=cores,
         oversubscribed=n_partitions > cores,

@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 
-from .reference_element import ReferenceElement
+from .reference_element import ReferenceElement, contract
 
 
 class MeshError(ValueError):
@@ -200,24 +200,37 @@ class MetricTerms:
 def compute_metrics(mesh: ColumnMesh, ref: ReferenceElement) -> MetricTerms:
     """Differentiate the trilinear coordinate map at the Lobatto nodes.
 
-    The coordinate field is degree one per direction, so the nodal
-    differentiation matrix reproduces the covariant vectors
-    g_b = dx/dxi_b exactly.  The cofactor rows are their cross products,
-    J grad(xi_a) = g_{a+1} x g_{a+2}, each of degree two along xi_a, so
-    for p >= 2 the discrete metric identities sum_a D_a jg[a, d] = 0 hold
-    to round-off; J = g_0 . (g_1 x g_2).
+    Every step is a separable tensor-product contraction on
+    direction-major (xyz, E, k, j, i) data, run as matrix products as in
+    the element kernel: the linear corner basis takes each element's
+    2x2x2 corners to its n x n x n nodes one axis at a time (x, y, z),
+    and the nodal differentiation matrix D gives the covariant vectors
+    g_b = dx/dxi_b, along x as one GEMM against D^T and along y and z
+    as per-element batched products.  The coordinate field is degree
+    one per direction, so D reproduces them exactly.  The cofactor rows
+    are their cross products, J grad(xi_a) = g_{a+1} x g_{a+2}, each of
+    degree two along xi_a, so for p >= 2 the discrete metric identities
+    sum_a D_a jg[a, d] = 0 hold to round-off; J = g_0 . (g_1 x g_2).
+    ``coords`` is an (E, n, n, n, 3) view of the direction-major node
+    coordinates.
     """
     x = ref.points
     D = ref.diff_matrix
-    shape = 0.5 * np.stack([1.0 - x, 1.0 + x], axis=1)  # (n, 2) trilinear basis
-    coords = np.einsum("kc,jb,ia,ecbad->ekjid", shape, shape, shape, mesh.vertices,
-                       optimize=True)
+    n = ref.n_nodes
+    E = mesh.n_elements
+    shape = 0.5 * np.stack([1.0 - x, 1.0 + x], axis=1)  # (n, 2) linear basis
+    corners = np.ascontiguousarray(np.moveaxis(mesh.vertices, -1, 0))
+    along_x = corners.reshape(-1, 2) @ shape.T          # (3, E, 2, 2, n)
+    along_y = contract(shape, along_x.reshape(3 * E, 2, 2, n),
+                       np.empty((3 * E, 2, n, n)), 1)
+    xyz = contract(shape, along_y, np.empty((3, E, n, n, n)), 0)
 
-    xyz = np.moveaxis(coords, -1, 0)                   # (3, E, n, n, n) view
     g = np.empty((3,) + xyz.shape)                     # g[b, d] = dx_d/dxi_b
-    np.einsum("im,dekjm->dekji", D, xyz, out=g[0])     # d/dxi
-    np.einsum("jm,dekmi->dekji", D, xyz, out=g[1])     # d/deta
-    np.einsum("km,demji->dekji", D, xyz, out=g[2])     # d/dzeta
+    np.matmul(xyz.reshape(-1, n), np.ascontiguousarray(D.T),
+              out=g[0].reshape(-1, n))                 # d/dxi
+    contract(D, xyz.reshape(3 * E, n, n, n), g[1], 1)  # d/deta
+    contract(D, xyz.reshape(3 * E, n, n, n), g[2], 0)  # d/dzeta
+    coords = np.moveaxis(xyz, 0, -1)
 
     jg = np.empty_like(g)
     for a in range(3):
@@ -352,21 +365,22 @@ def build_cg_numbering(mesh: ColumnMesh, ref: ReferenceElement,
         raise MeshError("assembled mass has non-positive entries")
 
     node_coords = np.empty((n_unique, 3))
-    node_coords[gids.ravel()] = metrics.coords.reshape(-1, 3)
+    for d in range(3):                 # coords is stored direction-major
+        node_coords[gids.ravel(), d] = metrics.coords[..., d].ravel()
 
     color = ((ci & 1) + 2 * (cj & 1) + 4 * (ck & 1)).astype(np.int64)
     batches = [np.flatnonzero(color == c) for c in range(8)]
     for batch in batches:
-        flat = gids[batch].ravel()
-        if flat.size != np.unique(flat).size:
+        if np.bincount(gids[batch].ravel(), minlength=n_unique).max() > 1:
             raise MeshError("element coloring does not separate shared grid points")
 
-    lattice = node_coords_lattice(n_unique, gpx, gpy)
-    span = (gpx - 1, gpy - 1, gpz - 1)
-    boundary = {
-        axis: np.flatnonzero((lattice[:, axis] == 0) | (lattice[:, axis] == span[axis]))
-        for axis in range(3)
-    }
+    boundary = {}
+    for axis in range(3):              # the two lattice planes normal to axis
+        wall = np.zeros((gpz, gpy, gpx), dtype=bool)
+        planes = [slice(None)] * 3
+        planes[2 - axis] = [0, -1]
+        wall[tuple(planes)] = True
+        boundary[axis] = np.flatnonzero(wall)
 
     return CgNumbering(
         order=p, lattice_dims=(gpx, gpy, gpz), n_unique=n_unique,
@@ -374,15 +388,6 @@ def build_cg_numbering(mesh: ColumnMesh, ref: ReferenceElement,
         node_coords=node_coords, color_batches=batches,
         boundary_ids=boundary,
     )
-
-
-def node_coords_lattice(n_unique: int, gpx: int, gpy: int) -> np.ndarray:
-    """Integer (gx, gy, gz) lattice coordinates of every global id."""
-    g = np.arange(n_unique)
-    gx = g % gpx
-    gy = (g // gpx) % gpy
-    gz = g // (gpx * gpy)
-    return np.stack([gx, gy, gz], axis=1)
 
 
 def rank_major_plan(points: np.ndarray, rank: np.ndarray,

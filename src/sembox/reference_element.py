@@ -164,6 +164,28 @@ def default_filter_cutoff(p: int) -> int:
     return min(p, math.ceil(2 * (p + 1) / 3))
 
 
+def contract(A: np.ndarray, src: np.ndarray, dst: np.ndarray, axis: int):
+    """Apply the (m, k) matrix A along one node axis of src into dst.
+
+    ``src`` is (B, a, b, c, ...) with a batch axis first; ``axis`` counts
+    node axes (0 = z, 1 = y, 2 = x) and names one of length k, which
+    becomes length m in the C-contiguous ``dst``.  The contraction runs as
+    a batched matrix product on reshaped views: grouping the leading axes
+    and flattening the trailing ones leaves the contracted axis in the
+    middle, which is much faster than the general einsum path.  Each batch
+    entry is a product within one element, so the result does not depend
+    on how many elements the batch holds.  Along x (no trailing axes) this
+    is one matrix-vector product per node row; callers with many rows
+    there run one GEMM against A^T instead.
+    """
+    lead = math.prod(src.shape[:axis + 1])
+    k = src.shape[axis + 1]
+    trail = src.size // (lead * k)
+    np.matmul(A, src.reshape(lead, k, trail),
+              out=dst.reshape(lead, A.shape[0], trail))
+    return dst
+
+
 @dataclass(frozen=True)
 class ReferenceElement:
     """Precomputed 1D operators for polynomial degree ``order``.

@@ -158,8 +158,14 @@ def compute_dt(state_cg, disc, const, control: TimestepControl) -> float:
     The effective spacing is the actual distance between adjacent nodes
     in each direction, so the clustered Lobatto spacing near element
     faces is what limits the step.  The acoustic speed is sqrt(gamma R T)
-    from the local full state.
+    from the local full state.  Each axis gathers its own speed
+    component to the element nodes and takes the minimum over every
+    element's node pairs along that axis.
     """
+    courant = (control.courant_h, control.courant_h, control.courant_v)
+    for axis, c in enumerate(courant):
+        if not (math.isfinite(c) and c > 0.0):
+            raise ValueError(f"Courant number along axis {axis} must be positive")
     q = state_cg
     if np.any(q[:, 0] <= 0.0) or np.any(q[:, 4] <= 0.0):
         raise ValueError("timestep needs a valid thermodynamic state")
@@ -168,28 +174,25 @@ def compute_dt(state_cg, disc, const, control: TimestepControl) -> float:
     c_snd = np.sqrt(const.gamma * const.R * T)
     if not np.all(np.isfinite(c_snd)):
         raise ValueError("non-finite wave speed")
-    u = q[:, 1:4] / q[:, 0:1]
 
-    num = disc.numbering
-    speed_el = (np.abs(u) + c_snd[:, None])[num.global_ids]  # (E, nn, 3)
+    gids = disc.numbering.global_ids
     n = disc.ref.n_nodes
-    E = num.global_ids.shape[0]
-    speed_el = speed_el.reshape(E, n, n, n, 3)
     coords = disc.metrics.coords
-
-    courant = (control.courant_h, control.courant_h, control.courant_v)
     dt = np.inf
     for axis, node_ax in ((0, 3), (1, 2), (2, 1)):
-        sl_lo = [slice(None)] * 4
-        sl_hi = [slice(None)] * 4
-        sl_lo[node_ax] = slice(None, -1)
-        sl_hi[node_ax] = slice(1, None)
-        gap = np.linalg.norm(coords[tuple(sl_hi)] - coords[tuple(sl_lo)], axis=-1)
-        spd = np.maximum(speed_el[tuple(sl_lo) + (axis,)],
-                         speed_el[tuple(sl_hi) + (axis,)])
-        if courant[axis] <= 0.0:
-            raise ValueError(f"Courant number along axis {axis} must be positive")
-        dt = min(dt, courant[axis] * float((gap / spd).min()))
+        lo = [slice(None)] * 4
+        hi = [slice(None)] * 4
+        lo[node_ax] = slice(None, -1)
+        hi[node_ax] = slice(1, None)
+        lo, hi = tuple(lo), tuple(hi)
+        # |x_hi - x_lo|, summed in the order np.linalg.norm sums
+        gap = sum((coords[..., d][hi] - coords[..., d][lo]) ** 2
+                  for d in range(3))
+        np.sqrt(gap, out=gap)
+        speed = (np.abs(q[:, 1 + axis] / q[:, 0]) + c_snd)[gids]
+        speed = speed.reshape(-1, n, n, n)
+        gap /= np.maximum(speed[lo], speed[hi])
+        dt = min(dt, courant[axis] * float(gap.min()))
     if not math.isfinite(dt) or dt <= 0.0:
         raise ValueError(f"computed dt = {dt}")
     return dt

@@ -16,6 +16,12 @@ the engine's element kernels on the whole mesh and assemble them with
 the color-batch loop, the canonical summation order by definition; the
 partitioned runs must match them bit for bit.
 
+Set-up references: the engine builds the metric terms by separable
+contractions and takes the Courant step one axis at a time.  The
+general ``einsum`` metrics and the per-element Courant step over a
+gathered (E, n^3, 3) speed field are kept here as the forms they must
+reproduce.
+
 The small helpers at the end evaluate, by definition, what the engine
 computes in bulk: a Lagrange cardinal polynomial, the mass integral, a
 column's elements, the forward Euler scheme, and the CSV table read back.
@@ -26,7 +32,7 @@ import numpy as np
 from sembox.dynamics import (RhsWorkspace, element_pressure, element_soa,
                              filter_contributions, pressure,
                              rhs_element_contributions as engine_contributions)
-from sembox.mesh import build_box_mesh
+from sembox.mesh import MetricTerms, build_box_mesh
 from sembox.perf_model import SCHEME_LABELS
 from sembox.storage import N_VARS, SCHEME_CG
 from sembox.time_integration import RkScheme
@@ -156,6 +162,58 @@ def apply_filter(state_cg, disc) -> np.ndarray:
     contrib = filter_contributions(state_cg, num.global_ids, disc.metrics.jw,
                                    disc.ref)
     return state_cg if contrib is None else dss(contrib, num)
+
+
+def einsum_metrics(mesh, ref) -> MetricTerms:
+    """Metric terms by general ``einsum`` contractions: the trilinear
+    coordinate map at the Lobatto nodes, its covariant vectors
+    g_b = dx/dxi_b by nodal differentiation, and the cofactor rows as
+    their cross products (no inverted-element check)."""
+    x = ref.points
+    D = ref.diff_matrix
+    shape = 0.5 * np.stack([1.0 - x, 1.0 + x], axis=1)
+    coords = np.einsum("kc,jb,ia,ecbad->ekjid", shape, shape, shape,
+                       mesh.vertices, optimize=True)
+    xyz = np.moveaxis(coords, -1, 0)
+    g = np.empty((3,) + xyz.shape)
+    np.einsum("im,dekjm->dekji", D, xyz, out=g[0])
+    np.einsum("jm,dekmi->dekji", D, xyz, out=g[1])
+    np.einsum("km,demji->dekji", D, xyz, out=g[2])
+    jg = np.empty_like(g)
+    for a in range(3):
+        u, v = g[(a + 1) % 3], g[(a + 2) % 3]
+        for d in range(3):
+            e, f = (d + 1) % 3, (d + 2) % 3
+            jg[a, d] = u[e] * v[f] - u[f] * v[e]
+    jac = g[0, 0] * jg[0, 0] + g[0, 1] * jg[0, 1] + g[0, 2] * jg[0, 2]
+    return MetricTerms(coords=coords, jacobian=jac, jg=jg,
+                       jw=jac * ref.weights_3d)
+
+
+def gathered_dt(state_cg, disc, const, courant_h, courant_v) -> float:
+    """Courant step by definition: the minimum over every element's
+    adjacent node pairs of C_d * |x_hi - x_lo| / max(s_lo, s_hi), with the
+    per-point speeds |u_d| + c gathered to all element nodes at once."""
+    q = state_cg
+    P = const.p0 * (const.R * q[:, 4] / const.p0) ** const.gamma
+    T = P / (q[:, 0] * const.R)
+    c_snd = np.sqrt(const.gamma * const.R * T)
+    u = q[:, 1:4] / q[:, 0:1]
+    gids = disc.numbering.global_ids
+    n = disc.ref.n_nodes
+    speed = (np.abs(u) + c_snd[:, None])[gids].reshape(-1, n, n, n, 3)
+    coords = disc.metrics.coords
+    dt = np.inf
+    for axis, node_ax, c in ((0, 3, courant_h), (1, 2, courant_h),
+                             (2, 1, courant_v)):
+        lo = [slice(None)] * 4
+        hi = [slice(None)] * 4
+        lo[node_ax] = slice(None, -1)
+        hi[node_ax] = slice(1, None)
+        gap = np.linalg.norm(coords[tuple(hi)] - coords[tuple(lo)], axis=-1)
+        spd = np.maximum(speed[tuple(lo) + (axis,)], speed[tuple(hi) + (axis,)])
+        dt = min(dt, c * float((gap / spd).min()))
+    return dt
 
 
 def lagrange_eval(points, i: int, xi: float) -> float:

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -165,6 +167,14 @@ class TestRunBubble:
         text = report.summary()
         assert "create_rhs" in text and "filter" in text
         assert "steps: 4" in text
+
+    def test_setup_time_reported_apart_from_the_run(self):
+        t0 = time.perf_counter()
+        report, _ = run_bubble(BubbleConfig(**SMALL), n_partitions=1)
+        elapsed = time.perf_counter() - t0
+        assert report.setup_seconds > 0.0
+        assert report.setup_seconds + report.wall_seconds <= elapsed
+        assert "set-up" in report.summary()
 
     def test_model_estimated_flop_rate(self, small_run):
         # the report carries a ledger-based rate, labeled as an estimate

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,8 @@ from sembox.mesh import (
     morton_decode, morton_encode, partition_columns, partition_quality,
     summary_text,
 )
-from oracles import elements_of_column, inverse_jacobian, mapped_box_mesh
+from oracles import (einsum_metrics, elements_of_column, inverse_jacobian,
+                     mapped_box_mesh)
 
 
 @pytest.fixture(scope="module")
@@ -133,6 +136,21 @@ class TestMetrics:
         # scale by element volume metric
         assert (resid / mt.jacobian.max()).max() < 1e-10
 
+    @pytest.mark.parametrize("mapped,order", [
+        *((False, p) for p in range(1, 6)), *((True, p) for p in range(2, 5))])
+    def test_matches_einsum_oracle(self, mapped, order):
+        ref = ReferenceElement.create(order)
+        m = (mapped_box_mesh() if mapped
+             else build_box_mesh(2, 2, 3, 500.0, 700.0, 900.0))
+        got, want = compute_metrics(m, ref), einsum_metrics(m, ref)
+        for name in ("coords", "jacobian", "jg", "jw"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.shape == b.shape and a.dtype == np.float64, name
+            assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max(), name
+        # the kernel views these as (E, n^3) and (3, 3, E n^3) blocks
+        for name in ("jacobian", "jg", "jw"):
+            assert getattr(got, name).flags.c_contiguous, name
+
     def test_inverted_element_reported(self, ref3):
         m = build_box_mesh(1, 1, 1, 1.0, 1.0, 1.0)
         m.vertices[0, ..., 2] *= -1.0  # flip z: negative Jacobian
@@ -184,6 +202,19 @@ class TestCgNumbering:
         for batch in num.color_batches:
             flat = num.global_ids[batch].ravel()
             assert flat.size == np.unique(flat).size
+
+    def test_coloring_that_does_not_separate_is_refused(self):
+        # the column at cell (1, 1) moved onto cell (3, 1): two columns of
+        # one parity class then share grid points.  Every point the move
+        # vacates is a shared corner, so the mass stays positive and the
+        # colour check is what fires.
+        ref1 = ReferenceElement.create(1)
+        m = build_box_mesh(4, 4, 2, 1.0, 1.0, 1.0)
+        ij = m.col_ij.copy()
+        ij[np.flatnonzero((ij[:, 0] == 1) & (ij[:, 1] == 1))] = (3, 1)
+        with pytest.raises(MeshError, match="element coloring does not "
+                                            "separate shared grid points"):
+            build_cg_numbering(dataclasses.replace(m, col_ij=ij), ref1)
 
     def test_boundary_sets(self, ref3):
         m = build_box_mesh(2, 2, 2, 1.0, 1.0, 1.0)

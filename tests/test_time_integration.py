@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from sembox.dynamics import GasConstants
+from sembox.dynamics import Discretization, GasConstants
 from sembox.harness import BubbleConfig, build_discretization
+from sembox.mesh import build_box_mesh, build_cg_numbering, compute_metrics
+from sembox.reference_element import ReferenceElement
 from sembox.time_integration import (
     DEFAULT_SCHEME, RkScheme, TimestepControl, compute_dt, rk_step,
     verify_order_conditions,
 )
-from oracles import forward_euler_scheme
+from oracles import forward_euler_scheme, gathered_dt, mapped_box_mesh
 
 CONST = GasConstants()
 
@@ -151,6 +153,36 @@ class TestComputeDt:
         ctrl = TimestepControl(courant_h=0.0, courant_v=1.0, n_steps=1)
         with pytest.raises(ValueError):
             compute_dt(state, disc, CONST, ctrl)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+    @pytest.mark.parametrize("field", ["courant_h", "courant_v"])
+    def test_courant_must_be_finite_and_positive(self, field, value):
+        disc, state = self.make_quiescent_300k()
+        ctrl = TimestepControl(n_steps=1, **{field: value})
+        with pytest.raises(ValueError, match="Courant number along axis"):
+            compute_dt(state, disc, CONST, ctrl)
+
+    @pytest.mark.parametrize("mapped,order", [
+        (False, 1), (False, 3), (False, 5), (True, 2), (True, 4)])
+    def test_matches_gathered_oracle(self, mapped, order):
+        # random wind on a stratified state; the step is a minimum, so it
+        # equals the oracle's bit for bit when every gap and speed does
+        ref = ReferenceElement.create(order)
+        mesh = (mapped_box_mesh() if mapped
+                else build_box_mesh(2, 2, 3, 600.0, 800.0, 900.0))
+        metrics = compute_metrics(mesh, ref)
+        num = build_cg_numbering(mesh, ref, metrics)
+        disc = Discretization(mesh=mesh, ref=ref, metrics=metrics,
+                              numbering=num)
+        rng = np.random.default_rng(order)
+        rho = 1.1 + 0.1 * rng.random(num.n_unique)
+        state = np.empty((num.n_unique, 5))
+        state[:, 0] = rho
+        state[:, 1:4] = rho[:, None] * rng.normal(0.0, 20.0, (num.n_unique, 3))
+        state[:, 4] = rho * (300.0 + rng.random(num.n_unique))
+        ctrl = TimestepControl(courant_h=0.4, courant_v=0.7, n_steps=1)
+        assert compute_dt(state, disc, CONST, ctrl) == gathered_dt(
+            state, disc, CONST, 0.4, 0.7)
 
     def test_invalid_state_rejected(self):
         disc, state = self.make_quiescent_300k()
