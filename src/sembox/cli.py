@@ -93,11 +93,15 @@ def config_from(base, keys: dict, values: dict, kind: str = "config"):
         if key not in keys:
             raise ConfigError(f"unknown {kind} key {key!r}")
         attr, idx, typ = keys[key]
+        try:
+            value = typ(raw)
+        except ValueError as exc:
+            raise ConfigError(f"{kind} key {key!r}: {exc}") from None
         if idx is None:
-            fields[attr] = typ(raw)
+            fields[attr] = value
         else:
             seq = list(fields.get(attr, getattr(base, attr)))
-            seq[idx] = typ(raw)
+            seq[idx] = value
             fields[attr] = tuple(seq)
     return replace(base, **fields)
 

@@ -139,9 +139,9 @@ def rhs_element_contributions(state_cg: np.ndarray, gids: np.ndarray,
     exactly).
 
     ``state_cg`` holds the points ``gids`` indexes; ``ra_el`` is the
-    background at the element nodes, (3, E, n^3) as :func:`element_soa`
-    gathers it; ``ws`` holds the kernel's buffers for E elements
-    (:meth:`RhsWorkspace.create`).  When the perturbation pressure was
+    background (rho_bar, p_bar) at the element nodes, (2, E, n^3) as
+    :func:`element_soa` gathers it; ``ws`` holds the kernel's buffers for
+    E elements (:meth:`RhsWorkspace.create`).  When the perturbation pressure was
     already evaluated at unique points (CG storage), it is passed in; DG
     storage evaluates it here, per duplicated node.  Returns a
     C-contiguous (E, n, n, n, 5).
@@ -153,7 +153,7 @@ def rhs_element_contributions(state_cg: np.ndarray, gids: np.ndarray,
     if not np.all(np.isfinite(q)):
         raise DivergedStateError(
             _first_bad_element(q.reshape(N_VARS, E, -1), axis=1))
-    ra = ra_el.reshape(3, m)
+    ra = ra_el.reshape(2, m)
 
     if p_prime_el is None:
         p_prime = pressure(q[0], q[4], const) - ra[1]

@@ -135,13 +135,7 @@ def init_bubble(config: BubbleConfig, disc: Discretization,
     p_bar = const.p0 * exner ** (const.cp / const.R)
     t_bar = th0 * exner
     rho_bar = p_bar / (const.R * t_bar)
-    dp_dz = -(const.gravity * const.p0 / (const.R * th0)) \
-        * exner ** (const.cp / const.R - 1.0)
-    ra = ReferenceAtmosphere(
-        theta0=th0,
-        cg=np.stack([rho_bar, p_bar, rho_bar * th0], axis=1),
-        dp_dz=dp_dz,
-    )
+    ra = ReferenceAtmosphere(theta0=th0, cg=np.stack([rho_bar, p_bar], axis=1))
 
     r = np.linalg.norm(coords - np.asarray(config.center), axis=1)
     theta_p = np.where(
@@ -300,7 +294,7 @@ class _Worker:
         self.num = plan.numbering
         if self.num is not disc.numbering:     # T=1 copies no background
             own = plan.own_gids
-            ra = ReferenceAtmosphere(ra.theta0, ra.cg[own], ra.dp_dz[own])
+            ra = ReferenceAtmosphere(ra.theta0, ra.cg[own])
         self.ra = ra
         self.gids = self.num.global_ids
         self.metrics_view = _metric_slice(
@@ -485,7 +479,7 @@ def run_bubble(config: BubbleConfig, n_partitions: int = 1,
         with open(os.path.join(out_dir, "diagnostics.csv"), "w") as f:
             f.write(report.diagnostics_csv())
         write_snapshot(os.path.join(out_dir, "state.bin"), final,
-                       config.order, layout="cg")
+                       config.order)
         _write_theta_csv(os.path.join(out_dir, "theta.csv"), final, ra, disc)
         snaps: dict[int, np.ndarray] = {}
         for w, gids in zip(workers, owned):
@@ -493,7 +487,7 @@ def run_bubble(config: BubbleConfig, n_partitions: int = 1,
                 snaps.setdefault(step, np.zeros_like(state0))[gids] = piece
         for step, snap in sorted(snaps.items()):
             write_snapshot(os.path.join(out_dir, f"state_{step:06d}.bin"),
-                           snap, config.order, layout="cg")
+                           snap, config.order)
     return report, final
 
 

@@ -160,10 +160,6 @@ class SimConfig:
         return (p * nx + 1) * (p * ny + 1) * (p * nz + 1)
 
     @property
-    def duplication(self) -> float:
-        return self.points_dg / self.points_cg
-
-    @property
     def points_stored(self) -> float:
         return self.points_dg if self.scheme == SCHEME_DG else self.points_cg
 
@@ -406,14 +402,6 @@ BUBBLE_CONFIG = SimConfig(order=3, elements=(264, 264, 396), machines=768,
 PLANETARY_CONFIG = SimConfig(order=3, elements=(396, 396, 10), machines=972,
                              timesteps=947)
 
-# Per-scheme multipliers fitting the raw ledger to the repriced bubble
-# sheet (computed by fit_calibration; frozen here for reference use).
-BUBBLE_CALIBRATIONS = {
-    SCHEME_CG: Calibration(flops=1.112447, read=1.108633, write=1.764511),
-    SCHEME_HYBRID: Calibration(flops=1.112447, read=1.004430, write=1.819321),
-    SCHEME_DG: Calibration(flops=1.149717, read=0.881024, write=0.907052),
-}
-
 
 def fit_calibration(config: SimConfig, sheet: CostSheet,
                     machine: MachineModel | None = None,
@@ -444,6 +432,11 @@ def fit_calibration(config: SimConfig, sheet: CostSheet,
     return Calibration(flops=num["flops"] / den["flops"],
                        read=num["read"] / den["read"],
                        write=num["write"] / den["write"])
+
+
+# Per-scheme multipliers fitting the raw ledger to the repriced bubble sheet.
+BUBBLE_CALIBRATIONS = {s: fit_calibration(BUBBLE_CONFIG, PRESET_SHEETS["table2"],
+                                          scheme=s) for s in SCHEMES}
 
 
 # ---------------------------------------------------------------------------

@@ -337,34 +337,19 @@ def halo_exchange(layout: PartitionLayout,
 
 @dataclass
 class ReferenceAtmosphere:
-    """Frozen hydrostatic background (rho_bar, p_bar, Theta_bar).
+    """Frozen hydrostatic background (rho_bar, p_bar): the two fields the
+    element kernel reads.
 
     Held at unique points, built once from the analytic profile; the
-    element kernels read a gathered per-element copy.  ``dp_dz`` is the
-    profile's analytic pressure gradient at the nodes, kept so the
-    hydrostatic-balance residual can be audited exactly.
+    element kernels read a gathered per-element copy.
     """
 
     theta0: float
-    cg: np.ndarray        # (n_unique, 3)
-    dp_dz: np.ndarray     # (n_unique,)
-
-    @property
-    def rho(self) -> np.ndarray:
-        return self.cg[:, 0]
+    cg: np.ndarray        # (n_unique, 2)
 
     @property
     def pressure(self) -> np.ndarray:
         return self.cg[:, 1]
-
-    @property
-    def theta_density(self) -> np.ndarray:
-        return self.cg[:, 2]
-
-    def hydrostatic_residual(self, gravity: float) -> float:
-        """max |dp_bar/dz + rho_bar g| / (rho_bar g) over all nodes."""
-        rg = self.cg[:, 0] * gravity
-        return float(np.max(np.abs(self.dp_dz + rg) / rg))
 
 
 # ---------------------------------------------------------------------------
@@ -373,60 +358,42 @@ class ReferenceAtmosphere:
 
 _MAGIC = b"SBXS"
 _VERSION = 1
-_LAYOUT_TAGS = {"cg": 0, "dg": 1}
+_LAYOUT_CG = 0      # the one layout tag; elems is always 0
 _HEADER = struct.Struct("<4sIIIQQI4x")  # magic, version, p, layout, rows, elems, vars
 
 
-def write_snapshot(path, values: np.ndarray, order: int,
-                   layout: str = "cg") -> None:
-    """Write a field snapshot: fixed header then little-endian float64 rows.
-
-    CG layout stores (n_unique, n_vars) in ascending grid-point id; DG
-    layout stores (E, (p+1)^3, n_vars) in element order, x fastest, and
-    the header records E.
-    """
-    if layout not in _LAYOUT_TAGS:
-        raise ValueError(f"unknown snapshot layout {layout!r}")
+def write_snapshot(path, values: np.ndarray, order: int) -> None:
+    """Write a field snapshot: fixed header then little-endian float64 rows,
+    (n_unique, n_vars) in ascending grid-point id."""
     arr = np.ascontiguousarray(values, dtype="<f8")
     nv = arr.shape[-1]
-    n_elements = arr.shape[0] if layout == "dg" else 0
-    if layout == "dg" and arr.shape[1] != (order + 1) ** 3:
-        raise ValueError(f"DG block has {arr.shape[1]} nodes per element, "
-                         f"order {order} needs {(order + 1) ** 3}")
     with open(path, "wb") as f:
-        f.write(_HEADER.pack(_MAGIC, _VERSION, order, _LAYOUT_TAGS[layout],
-                             arr.size // nv, n_elements, nv))
+        f.write(_HEADER.pack(_MAGIC, _VERSION, order, _LAYOUT_CG,
+                             arr.size // nv, 0, nv))
         f.write(arr.tobytes())
 
 
 def read_snapshot(path):
     """Read a snapshot written by :func:`write_snapshot`.
 
-    Returns (values, meta) where meta carries order, layout, and counts.
+    Returns (values, meta) where meta carries order, layout and counts.
+    Any layout tag but CG's (DG's 1 included) is refused.
     """
     with open(path, "rb") as f:
         head = f.read(_HEADER.size)
         if len(head) != _HEADER.size:
             raise ProtocolError("snapshot header truncated")
-        magic, version, order, tag, rows, n_elements, nv = _HEADER.unpack(head)
+        magic, version, order, tag, rows, _, nv = _HEADER.unpack(head)
         if magic != _MAGIC:
             raise ProtocolError(f"bad snapshot magic {magic!r}")
         if version != _VERSION:
             raise ProtocolError(f"unsupported snapshot version {version}")
-        if tag not in _LAYOUT_TAGS.values():
+        if tag != _LAYOUT_CG:
             raise ProtocolError(f"unknown snapshot layout tag {tag}")
-        payload = np.frombuffer(f.read(), dtype="<f8")
-    if payload.size != rows * nv:
-        raise ProtocolError(f"snapshot payload has {payload.size} values, "
-                            f"expected {rows * nv}")
-    layout = "cg" if tag == 0 else "dg"
-    values = payload.reshape(rows, nv)
-    if layout == "dg":
-        nn = (order + 1) ** 3
-        if rows != n_elements * nn:
-            raise ProtocolError(f"DG snapshot has {rows} rows, expected "
-                                f"{n_elements} elements of {nn} nodes")
-        values = values.reshape(n_elements, nn, nv)
-    meta = {"order": order, "layout": layout, "rows": rows,
-            "n_elements": n_elements, "n_vars": nv}
+        payload = f.read()
+    if len(payload) != 8 * rows * nv:
+        raise ProtocolError(f"snapshot payload has {len(payload)} bytes, "
+                            f"expected {8 * rows * nv}")
+    values = np.frombuffer(payload, dtype="<f8").reshape(rows, nv)
+    meta = {"order": order, "layout": "cg", "rows": rows, "n_vars": nv}
     return values, meta

@@ -22,6 +22,10 @@ general ``einsum`` metrics and the per-element Courant step over a
 gathered (E, n^3, 3) speed field are kept here as the forms they must
 reproduce.
 
+Hydrostatic balance: the engine keeps only the background density and
+pressure.  ``hydrostatic_residual`` audits the density against the
+analytic derivative of the neutral pressure profile.
+
 The small helpers at the end evaluate, by definition, what the engine
 computes in bulk: a Lagrange cardinal polynomial, the mass integral, a
 column's elements, the forward Euler scheme, and the CSV table read back.
@@ -117,7 +121,7 @@ def rhs_element_contributions(state_el, ra_el, metrics, ref, const,
     n = ref.n_nodes
     E = state_el.shape[0]
     state = state_el.reshape(E, n, n, n, N_VARS)
-    ra = ra_el.reshape(E, n, n, n, 3)
+    ra = ra_el.reshape(E, n, n, n, 2)
     if p_prime_el is None:
         p_prime = pressure(state[..., 0], state[..., 4], const) - ra[..., 1]
     else:
@@ -214,6 +218,17 @@ def gathered_dt(state_cg, disc, const, courant_h, courant_v) -> float:
         spd = np.maximum(speed[tuple(lo) + (axis,)], speed[tuple(hi) + (axis,)])
         dt = min(dt, c * float((gap / spd).min()))
     return dt
+
+
+def hydrostatic_residual(ra, z, const) -> float:
+    """max |dp_bar/dz + rho_bar g| / (rho_bar g) over the nodes at heights
+    ``z``, with dp_bar/dz the analytic derivative of the neutral profile
+    p_bar(z) = p0 (1 - g z / (cp theta0))^(cp/R)."""
+    g, th0 = const.gravity, ra.theta0
+    exner = 1.0 - g * z / (const.cp * th0)
+    dp_dz = -(g * const.p0 / (const.R * th0)) * exner ** (const.cp / const.R - 1.0)
+    rg = ra.cg[:, 0] * g
+    return float(np.max(np.abs(dp_dz + rg) / rg))
 
 
 def lagrange_eval(points, i: int, xi: float) -> float:

@@ -128,7 +128,7 @@ def test_numerics_property_suite():
     rest_disc = build_discretization(rest_cfg)
     rest, rest_ra = init_bubble(rest_cfg, rest_disc, CONST)
     rest_rhs = create_rhs(rest, rest_disc, CONST, rest_ra)
-    assert np.abs(rest_rhs).max() < 1e-10 * float((rest_ra.rho * CONST.gravity).max())
+    assert np.abs(rest_rhs).max() < 1e-10 * float((rest_ra.cg[:, 0] * CONST.gravity).max())
 
     # Runge-Kutta observed order >= 2.9
     errs = []

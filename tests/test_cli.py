@@ -502,6 +502,19 @@ class TestConfigKeys:
         assert code == EXIT_CONFIG
         assert err.startswith("error:") and "absent.cfg" in err
 
+    @pytest.mark.parametrize("command,flag,text,key", [
+        ("run", "--config", "steps = abc", "config key 'steps'"),
+        ("run", "--config", "nx = 3.5", "config key 'nx'"),
+        ("scale", "--config", "lx = wide", "config key 'lx'"),
+        ("perfmodel", "--scenario", "order = x", "scenario key 'order'")])
+    def test_bad_value_names_its_key(self, capsys, tmp_path, command, flag,
+                                     text, key):
+        cfg = tmp_path / "case.cfg"
+        cfg.write_text(text + "\n")
+        code, out, err = run_cli(capsys, command, flag, str(cfg))
+        assert code == EXIT_CONFIG and out == ""
+        assert err.startswith(f"error: {key}: ") and err.count("\n") == 1
+
     def test_steps_win_over_end_time_in_flags_and_file(self, capsys,
                                                        tmp_path):
         # dt is ~0.16 s here: end_time alone would give 2 steps

@@ -221,12 +221,22 @@ class TestOrderSweep:
 
 class TestCalibration:
     def test_frozen_values_reproducible(self):
-        for scheme, frozen in BUBBLE_CALIBRATIONS.items():
+        # the multipliers once frozen in the package, to 6 decimals: the
+        # fit must keep reproducing them while the ledger's pricing holds
+        frozen = {
+            SCHEME_CG: Calibration(flops=1.112447, read=1.108633, write=1.764511),
+            SCHEME_HYBRID: Calibration(flops=1.112447, read=1.004430,
+                                       write=1.819321),
+            SCHEME_DG: Calibration(flops=1.149717, read=0.881024, write=0.907052),
+        }
+        assert set(BUBBLE_CALIBRATIONS) == set(frozen)
+        for scheme, want in frozen.items():
             fit = fit_calibration(RAW_BUBBLE, PRESET_SHEETS["table2"], MACHINE,
                                   penalized=True, scheme=scheme)
-            assert fit.flops == pytest.approx(frozen.flops, abs=1e-5)
-            assert fit.read == pytest.approx(frozen.read, abs=1e-5)
-            assert fit.write == pytest.approx(frozen.write, abs=1e-5)
+            assert BUBBLE_CALIBRATIONS[scheme] == fit
+            for got, ref in ((fit.flops, want.flops), (fit.read, want.read),
+                             (fit.write, want.write)):
+                assert got == pytest.approx(ref, abs=5e-7)
 
     def test_calibrated_totals_match_sheet(self):
         for scheme, cal in BUBBLE_CALIBRATIONS.items():
