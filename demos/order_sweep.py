@@ -4,8 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from sembox.perf_model import (BUBBLE_CONFIG, Calibration, order_sweep)
-from sembox.storage import SCHEME_CG, SCHEME_DG, SCHEME_HYBRID
+from sembox.perf_model import (BUBBLE_CONFIG, SCHEME_CG, SCHEME_DG,
+                               SCHEME_HYBRID, Calibration, order_sweep)
 
 base = replace(BUBBLE_CONFIG, calibration=Calibration())
 sweep = order_sweep(base, range(1, 8))

@@ -20,12 +20,11 @@ from .mesh import (build_box_mesh, compute_metrics, build_cg_numbering,
 from .reference_element import ReferenceElement
 from .perf_model import (MachineModel, SimConfig, PRESET_SHEETS,
                          BUBBLE_CONFIG, PLANETARY_CONFIG, BUBBLE_CALIBRATIONS,
-                         sheet_table, model_table, emit_table, emit_csv,
-                         order_sweep)
+                         ENGINE_SCHEMES, sheet_table, model_table, emit_table,
+                         emit_csv, order_sweep)
 from .harness import (BubbleConfig, ConfigError, DivergedRunError, run_bubble,
                       scale_experiment, scale_table, scale_csv,
                       worker_fault_note)
-from .storage import ENGINE_SCHEMES
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -68,7 +67,7 @@ _SCENARIO_BASE = SimConfig(elements=(264.0, 264.0, 396.0))
 
 
 def load_config_file(path) -> dict:
-    """Flat key=value text; blank lines and # comments ignored."""
+    """Flat key=value lines, each key once; blanks and # comments ignored."""
     try:
         with open(path) as f:
             lines = f.readlines()
@@ -82,7 +81,10 @@ def load_config_file(path) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value")
         key, _, val = line.partition("=")
-        values[key.strip()] = val.strip()
+        key = key.strip()
+        if key in values:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} given twice")
+        values[key] = val.strip()
     return values
 
 
@@ -124,8 +126,9 @@ def bubble_config_from(args) -> BubbleConfig:
 
 def _add_key_flags(sub, keys):
     for key in keys:
-        kind = ({"choices": ENGINE_SCHEMES} if key == "scheme"
-                else {"type": _BUBBLE_KEYS[key][2]})
+        kind = ({"choices": ENGINE_SCHEMES, "help": "ledger that prices the "
+                 "report; the engine stores and computes CG under each"}
+                if key == "scheme" else {"type": _BUBBLE_KEYS[key][2]})
         sub.add_argument("--" + key.replace("_", "-"), dest=key, **kind)
 
 

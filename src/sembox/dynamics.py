@@ -16,10 +16,12 @@ form to round-off; on trilinear mapped elements it is the conservative
 form and keeps a uniform flow uniform only for p >= 2, where the
 discrete metric identities hold (at p = 1 a mapped 2x2x2 box leaves a
 free-stream residual of order 1e-3 relative to the flux change across an
-element).  The kernel produces J*w-weighted contributions; the partition
-workers in ``harness`` assemble them into unique grid points through
-``storage.PartitionLayout.exchange``, the engine's one assembly (serial
-is its one-partition case).
+element).  The perturbation pressure is evaluated once per unique point
+and gathered (:func:`element_pressure`), under every storage scheme; the
+kernel evaluates none.  It produces J*w-weighted contributions; the
+partition workers in ``harness`` assemble them into unique grid points
+through ``storage.PartitionLayout.exchange``, the engine's one assembly
+(serial is its one-partition case).
 """
 
 from dataclasses import dataclass
@@ -28,7 +30,7 @@ import numpy as np
 
 from .mesh import MetricTerms, CgNumbering
 from .reference_element import ReferenceElement, contract
-from .storage import N_VARS, SCHEME_DG, ReferenceAtmosphere
+from .storage import N_VARS, ReferenceAtmosphere
 
 
 class StateValidityError(ValueError):
@@ -121,10 +123,10 @@ def _first_bad_element(arr: np.ndarray, axis: int = 0) -> int:
 
 
 def rhs_element_contributions(state_cg: np.ndarray, gids: np.ndarray,
-                              ra_el: np.ndarray, metrics: MetricTerms,
-                              ref: ReferenceElement, const: GasConstants,
-                              ws: RhsWorkspace,
-                              p_prime_el: np.ndarray | None = None) -> np.ndarray:
+                              p_prime_el: np.ndarray, rho_bar_el: np.ndarray,
+                              metrics: MetricTerms, ref: ReferenceElement,
+                              const: GasConstants,
+                              ws: RhsWorkspace) -> np.ndarray:
     """J*w-weighted RHS contribution of every element at ``gids`` (E, n^3).
 
     Contravariant (conservative) flux form: with Fc[a] the flux along
@@ -138,13 +140,12 @@ def rhs_element_contributions(state_cg: np.ndarray, gids: np.ndarray,
     hold, which needs p >= 2 (at p = 1 the cofactor is not differentiated
     exactly).
 
-    ``state_cg`` holds the points ``gids`` indexes; ``ra_el`` is the
-    background (rho_bar, p_bar) at the element nodes, (2, E, n^3) as
-    :func:`element_soa` gathers it; ``ws`` holds the kernel's buffers for
-    E elements (:meth:`RhsWorkspace.create`).  When the perturbation pressure was
-    already evaluated at unique points (CG storage), it is passed in; DG
-    storage evaluates it here, per duplicated node.  Returns a
-    C-contiguous (E, n, n, n, 5).
+    ``state_cg`` holds the points ``gids`` indexes; ``p_prime_el`` is the
+    perturbation pressure and ``rho_bar_el`` the background density at
+    the element nodes, both (E, n^3) (:func:`element_pressure`,
+    ``ReferenceAtmosphere.cg[:, 0][gids]``); ``ws`` holds the kernel's
+    buffers for E elements (:meth:`RhsWorkspace.create`).  The kernel
+    evaluates no pressure.  Returns a C-contiguous (E, n, n, n, 5).
     """
     n = ref.n_nodes
     E = gids.shape[0]
@@ -153,14 +154,8 @@ def rhs_element_contributions(state_cg: np.ndarray, gids: np.ndarray,
     if not np.all(np.isfinite(q)):
         raise DivergedStateError(
             _first_bad_element(q.reshape(N_VARS, E, -1), axis=1))
-    ra = ra_el.reshape(2, m)
-
-    if p_prime_el is None:
-        p_prime = pressure(q[0], q[4], const) - ra[1]
-    else:
-        p_prime = p_prime_el.reshape(m)
-
-    F = flux(q, p_prime, metrics.jg.reshape(3, 3, m), ws.flux, ws.U)
+    F = flux(q, p_prime_el.reshape(m), metrics.jg.reshape(3, 3, m),
+             ws.flux, ws.U)
     # x runs as one GEMM against D^T (its rows do not depend on how many
     # the batch holds, which partition invariance needs); each spent flux
     # block then takes the next direction's result
@@ -178,7 +173,7 @@ def rhs_element_contributions(state_cg: np.ndarray, gids: np.ndarray,
                 out=flat.transpose(2, 0, 1))
     # source: gravity acting on the density perturbation only
     flat[..., 3] -= (const.gravity * metrics.jw.reshape(E, -1)
-                     * (q[0] - ra[0]).reshape(E, -1))
+                     * (q[0].reshape(E, -1) - rho_bar_el))
     if not np.all(np.isfinite(contrib)):
         raise DivergedStateError(_first_bad_element(contrib), "right-hand side")
     return contrib
@@ -195,17 +190,14 @@ class Discretization:
 
 
 def element_pressure(state_cg: np.ndarray, gids: np.ndarray,
-                     ra: ReferenceAtmosphere, const: GasConstants,
-                     scheme: str) -> np.ndarray | None:
+                     ra: ReferenceAtmosphere,
+                     const: GasConstants) -> np.ndarray:
     """Perturbation pressure at the nodes ``gids`` of an element range.
 
     ``state_cg`` and ``ra`` hold the points the range touches (the whole
-    mesh, or a partition's local points), so CG evaluates the pressure
-    once per row and gathers; DG returns None, and the kernel evaluates
-    it per duplicated node.
+    mesh, or a partition's local points): the pressure is evaluated once
+    per row, then gathered.
     """
-    if scheme == SCHEME_DG:
-        return None
     p_cg = pressure(state_cg[:, 0], state_cg[:, 4], const) - ra.pressure
     return p_cg[gids]
 

@@ -28,15 +28,14 @@ import numpy as np
 from .reference_element import ReferenceElement
 from .mesh import (MetricTerms, build_box_mesh, compute_metrics,
                    build_cg_numbering, partition_columns)
-from .storage import (N_VARS, SCHEME_CG, ENGINE_SCHEMES, Mailboxes,
-                      NeighborStopped, PartitionLayout, ReferenceAtmosphere,
-                      write_snapshot)
+from .storage import (N_VARS, Mailboxes, NeighborStopped, PartitionLayout,
+                      ReferenceAtmosphere, write_snapshot)
 from .dynamics import (Discretization, GasConstants, RhsWorkspace,
                        DivergedStateError, StateValidityError, apply_boundary,
-                       element_pressure, element_soa, filter_contributions,
+                       element_pressure, filter_contributions,
                        rhs_element_contributions)
 from .time_integration import (DEFAULT_SCHEME, TimestepControl, compute_dt)
-from .perf_model import SimConfig, count_costs
+from .perf_model import SCHEME_CG, ENGINE_SCHEMES, SimConfig, count_costs
 
 
 class ConfigError(ValueError):
@@ -73,8 +72,8 @@ class BubbleConfig:
     filter_mu: float = 0.05
     filter_s: int = 12
     filter_cutoff: int | None = None
-    scheme: str = SCHEME_CG        # cg or dg: state at unique points either
-                                   # way; dg evaluates pressure per element node
+    scheme: str = SCHEME_CG        # cg or dg: a label for the ledger that
+                                   # prices the report; the engine runs CG
     snapshot_every: int = 0
     warmup_steps: int = 1
 
@@ -300,7 +299,7 @@ class _Worker:
         self.metrics_view = _metric_slice(
             disc.metrics, slice(plan.elem_start, plan.elem_stop))
         self.ws = RhsWorkspace.create(len(self.gids), disc.ref.n_nodes)
-        self.ra_el = element_soa(ra.cg, self.gids)
+        self.rho_bar_el = ra.cg[:, 0][self.gids]
         self.diags = []
         self.snapshots = []
         self.phase_seconds = {ph: 0.0 for ph in PHASES}
@@ -322,11 +321,10 @@ class _Worker:
 
     def _rhs(self, state):
         t0 = time.perf_counter()
-        p_el = element_pressure(state, self.gids, self.ra, self.const,
-                                self.config.scheme)
         contrib = rhs_element_contributions(
-            state, self.gids, self.ra_el, self.metrics_view, self.ref,
-            self.const, ws=self.ws, p_prime_el=p_el)
+            state, self.gids,
+            element_pressure(state, self.gids, self.ra, self.const),
+            self.rho_bar_el, self.metrics_view, self.ref, self.const, self.ws)
         self._time("create_rhs", t0)
         return self._exchange(contrib)
 
@@ -390,7 +388,7 @@ def _metric_slice(metrics, sl):
 
 
 def _ledger_flops(config: BubbleConfig, timed_steps: int) -> float:
-    """Analytic flop estimate for the timed portion of a run."""
+    """Ledger flop estimate for the timed steps, priced under the scheme."""
     if timed_steps <= 0:
         return 0.0
     sim = SimConfig(order=config.order,
@@ -492,12 +490,12 @@ def run_bubble(config: BubbleConfig, n_partitions: int = 1,
 
 
 def _write_theta_csv(path, state, ra, disc):
-    coords = disc.numbering.node_coords
     theta_p = state[:, 4] / state[:, 0] - ra.theta0
-    with open(path, "w") as f:
+    table = np.column_stack([disc.numbering.node_coords, theta_p])
+    with open(path, "w") as f:     # row by row as Python floats: plain digits
         f.write("x,y,z,theta_prime\n")
-        for (x, y, z), tp in zip(coords, theta_p):
-            f.write(f"{x!r},{y!r},{z!r},{tp!r}\n")
+        f.writelines(f"{x!r},{y!r},{z!r},{tp!r}\n"
+                     for x, y, z, tp in map(np.ndarray.tolist, table))
 
 
 # ---------------------------------------------------------------------------

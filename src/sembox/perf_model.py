@@ -38,9 +38,16 @@ import math
 import numpy as np
 
 from .reference_element import lobatto_points
-from .storage import SCHEME_CG, SCHEME_DG, SCHEME_HYBRID, SCHEMES
 
 GIGA = 1.0e9
+
+# storage schemes the ledger prices; the engine runs CG under each of
+# ENGINE_SCHEMES, where the scheme only picks the run report's ledger
+SCHEME_CG = "cg"
+SCHEME_HYBRID = "cg-dg"
+SCHEME_DG = "dg"
+SCHEMES = (SCHEME_CG, SCHEME_HYBRID, SCHEME_DG)
+ENGINE_SCHEMES = (SCHEME_CG, SCHEME_DG)          # accepted by ``sembox run``
 
 # flop-cost conventions
 FLOPS_DIV = 10

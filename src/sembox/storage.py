@@ -30,11 +30,9 @@ pair) and :meth:`Mailboxes.run` the one launcher of partitioned work
 arrays: one row per point the partition's elements touch, in ascending
 global order (``plans[t].own_gids``); one partition is the whole mesh.
 
-The engine keeps its state in CG storage under both of its schemes;
-element kernels read DG-layout blocks gathered from it.  The ``dg``
-scheme differs only in evaluating the pressure per duplicated element
-node instead of once per unique point.  The hybrid (``cg-dg``) is priced
-by the performance model only.
+The engine keeps its state in CG storage; element kernels read
+DG-layout blocks gathered from it.  DG and hybrid storage are priced by
+the performance model only (``perf_model.SCHEMES``).
 """
 
 from dataclasses import dataclass, field
@@ -47,12 +45,6 @@ import numpy as np
 from .mesh import ColumnMesh, CgNumbering, Partition, rank_major_plan
 
 N_VARS = 5
-
-SCHEME_CG = "cg"
-SCHEME_HYBRID = "cg-dg"
-SCHEME_DG = "dg"
-SCHEMES = (SCHEME_CG, SCHEME_HYBRID, SCHEME_DG)   # priced by perf_model
-ENGINE_SCHEMES = (SCHEME_CG, SCHEME_DG)          # run by the engine
 
 
 class ProtocolError(RuntimeError):
@@ -337,11 +329,12 @@ def halo_exchange(layout: PartitionLayout,
 
 @dataclass
 class ReferenceAtmosphere:
-    """Frozen hydrostatic background (rho_bar, p_bar): the two fields the
-    element kernel reads.
+    """Frozen hydrostatic background (rho_bar, p_bar) at unique points,
+    built once from the analytic profile.
 
-    Held at unique points, built once from the analytic profile; the
-    element kernels read a gathered per-element copy.
+    The perturbation pressure subtracts p_bar at unique points
+    (:func:`~sembox.dynamics.element_pressure`); the element kernel reads
+    only rho_bar, gathered to its element nodes, for the gravity source.
     """
 
     theta0: float

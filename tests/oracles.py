@@ -8,6 +8,9 @@ physical form it replaced: the
 along each of the three reference directions, and the inverse Jacobian
 applied by the chain rule.  On affine elements the two agree to
 round-off; ``mapped_box_mesh`` builds elements where they do not.
+Without a given perturbation pressure it evaluates the pressure per
+duplicated element node, as DG storage would; the engine evaluates it
+once per unique point under every scheme.
 
 Serial operators: the engine assembles only through
 ``PartitionLayout.exchange`` (serial is its one-partition case).  The
@@ -33,12 +36,12 @@ column's elements, the forward Euler scheme, and the CSV table read back.
 
 import numpy as np
 
-from sembox.dynamics import (RhsWorkspace, element_pressure, element_soa,
+from sembox.dynamics import (RhsWorkspace, element_pressure,
                              filter_contributions, pressure,
                              rhs_element_contributions as engine_contributions)
 from sembox.mesh import MetricTerms, build_box_mesh
-from sembox.perf_model import SCHEME_LABELS
-from sembox.storage import N_VARS, SCHEME_CG
+from sembox.perf_model import SCHEME_CG, SCHEME_DG, SCHEME_LABELS
+from sembox.storage import N_VARS
 from sembox.time_integration import RkScheme
 
 
@@ -149,13 +152,24 @@ def dss(contrib, numbering) -> np.ndarray:
 
 
 def create_rhs(state_cg, disc, const, ra, scheme=SCHEME_CG) -> np.ndarray:
-    """Assembled RHS (CG layout) of the whole mesh: the engine's element
-    kernel over every element, then :func:`dss`."""
+    """Assembled RHS (CG layout) of the whole mesh: element contributions
+    over every element, then :func:`dss`.
+
+    ``cg``: the engine's element kernel, with the pressure evaluated once
+    per unique point.  ``dg``: the chain-rule
+    :func:`rhs_element_contributions` with the pressure evaluated per
+    duplicated element node, where DG storage places it; the engine
+    runs CG under either scheme, so this is the one per-node path left.
+    """
     gids = disc.numbering.global_ids
-    contrib = engine_contributions(
-        state_cg, gids, element_soa(ra.cg, gids), disc.metrics, disc.ref,
-        const, RhsWorkspace.create(gids.shape[0], disc.ref.n_nodes),
-        p_prime_el=element_pressure(state_cg, gids, ra, const, scheme))
+    if scheme == SCHEME_DG:
+        contrib = rhs_element_contributions(state_cg[gids], ra.cg[gids],
+                                            disc.metrics, disc.ref, const)
+    else:
+        contrib = engine_contributions(
+            state_cg, gids, element_pressure(state_cg, gids, ra, const),
+            ra.cg[:, 0][gids], disc.metrics, disc.ref, const,
+            RhsWorkspace.create(gids.shape[0], disc.ref.n_nodes))
     return dss(contrib, disc.numbering)
 
 

@@ -16,14 +16,14 @@ from sembox.reference_element import ReferenceElement, lobatto_points, diff_matr
 from sembox.mesh import (build_box_mesh, build_cg_numbering,
                          morton_decode, morton_encode, partition_columns,
                          partition_quality)
-from sembox.storage import SCHEME_CG, SCHEME_DG, SCHEME_HYBRID, SCHEMES
 from sembox.dynamics import GasConstants
 from sembox.harness import (BubbleConfig, build_discretization, init_bubble,
                             run_bubble, scale_experiment)
 from sembox.time_integration import rk_step
 from sembox.perf_model import (
-    BUBBLE_CONFIG, Calibration, MachineModel, PRESET_SHEETS, count_costs,
-    order_sweep, random_access_penalty, roofline_time, sheet_table)
+    BUBBLE_CONFIG, SCHEME_CG, SCHEME_DG, SCHEME_HYBRID, SCHEMES, Calibration,
+    MachineModel, PRESET_SHEETS, count_costs, order_sweep,
+    random_access_penalty, roofline_time, sheet_table)
 
 from oracles import create_rhs
 
@@ -110,7 +110,8 @@ def test_numerics_property_suite():
             df = k * x ** (k - 1) if k else np.zeros_like(x)
             assert np.abs(D @ f - df).max() < 1e-12 * max(1.0, np.abs(f).max())
 
-    # storage-scheme RHS equivalence (relative 1e-12)
+    # storage-scheme RHS equivalence (relative 1e-12): the engine's pressure
+    # per unique point against the oracle's per duplicated node (dg)
     cfg = BubbleConfig(nx=2, ny=2, layers=3, n_steps=1)
     disc = build_discretization(cfg)
     state, ra = init_bubble(cfg, disc, CONST)

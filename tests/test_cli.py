@@ -515,6 +515,20 @@ class TestConfigKeys:
         assert code == EXIT_CONFIG and out == ""
         assert err.startswith(f"error: {key}: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command,flag,text,where", [
+        ("run", "--config",
+         "nx = 2\nny = 2\nlayers = 2\nsteps = 3\n# again\nsteps = 5\n",
+         "6: key 'steps'"),
+        ("perfmodel", "--scenario", "order = 3\nmachines = 4\n order=5\n",
+         "3: key 'order'")])
+    def test_key_given_twice_exits_2(self, capsys, tmp_path, command, flag,
+                                     text, where):
+        cfg = tmp_path / "case.cfg"
+        cfg.write_text(text)
+        code, out, err = run_cli(capsys, command, flag, str(cfg))
+        assert code == EXIT_CONFIG and out == ""
+        assert err == f"error: {cfg}:{where} given twice\n"
+
     def test_steps_win_over_end_time_in_flags_and_file(self, capsys,
                                                        tmp_path):
         # dt is ~0.16 s here: end_time alone would give 2 steps

@@ -156,6 +156,13 @@ class TestRunBubble:
         theta = (tmp_path / "theta.csv").read_text().splitlines()
         assert theta[0] == "x,y,z,theta_prime"
         assert len(theta) == 1 + state.shape[0]
+        # every field a number: the node coordinates and theta' bit for bit
+        got = np.array([[float(v) for v in line.split(",")]
+                        for line in theta[1:]])
+        coords = build_discretization(cfg).numbering.node_coords
+        theta_p = state[:, 4] / state[:, 0] - cfg.theta0
+        assert np.array_equal(got, np.column_stack([coords, theta_p]))
+        assert np.any(theta_p != 0.0)
 
     def test_diagnostics_csv_schema(self, small_run):
         report, _ = small_run
@@ -187,8 +194,9 @@ class TestRunBubble:
 
 class TestSerialEquivalence:
     """The partition workers step exactly as ``rk_step`` over the serial
-    reference operators (``oracles``) does, with the filter on and off.
-    At four partitions every column of the 2x2 mesh is its own partition."""
+    reference operators (``oracles``) does, with the filter on and off,
+    under either scheme.  At four partitions every column of the 2x2 mesh
+    is its own partition."""
 
     @pytest.mark.parametrize("n_partitions", [1, 2, 4])
     @pytest.mark.parametrize("filter_mu", [BubbleConfig().filter_mu, 0.0])
@@ -212,10 +220,27 @@ class TestSerialEquivalence:
         state = walls(state0.copy())
         for _ in range(cfg.n_steps):
             state = rk_step(state, dt,
-                            lambda s: create_rhs(s, disc, CONST, ra, scheme),
+                            lambda s: create_rhs(s, disc, CONST, ra),
                             filter_fn=lambda s: walls(apply_filter(s, disc)),
                             boundary_fn=walls)
         assert np.array_equal(final, state)
+
+
+class TestSchemeIsALedgerLabel:
+    """The engine runs the same code under every scheme; ``scheme`` only
+    chooses the ledger that prices the run report."""
+
+    @pytest.mark.parametrize("n_partitions", [1, 2])
+    @pytest.mark.parametrize("order", [3, 5])
+    def test_cg_and_dg_give_equal_bits(self, order, n_partitions):
+        runs = {scheme: run_bubble(BubbleConfig(nx=2, ny=2, layers=2,
+                                                order=order, n_steps=3,
+                                                scheme=scheme),
+                                   n_partitions=n_partitions)
+                for scheme in ("cg", "dg")}
+        (cg_report, cg_final), (dg_report, dg_final) = runs.values()
+        assert np.array_equal(cg_final, dg_final)
+        assert cg_report.est_flops < dg_report.est_flops
 
 
 # the default bubble at one and two workers, one final-state digest a line;

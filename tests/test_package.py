@@ -71,3 +71,29 @@ def test_every_public_name_has_a_caller_outside_the_tests():
         "used by tests only: make it a test oracle in tests/oracles.py or remove it"
     assert sorted(set(UNUSED_ALLOWED) - unused) == [], \
         "has a caller now: take it off UNUSED_ALLOWED"
+
+
+# the engine stores and computes CG under every storage scheme: the
+# scheme is a label for the run report's ledger, so no engine module
+# names a scheme constant it could branch on
+ENGINE_MODULES = ("storage", "dynamics", "mesh", "time_integration")
+
+
+def scheme_constants(module: str) -> set[str]:
+    """The scheme constants (``SCHEME_*``, ``SCHEMES``, ``ENGINE_SCHEMES``)
+    that ``src/sembox/<module>.py`` defines, imports or refers to."""
+    (tree,) = _parse([ROOT / "src" / "sembox" / f"{module}.py"])
+    found = set()
+    for node in ast.walk(tree):
+        for attr in ("id", "attr", "name", "asname"):
+            name = getattr(node, attr, None)
+            if isinstance(name, str) and (name.startswith("SCHEME_") or name
+                                          in ("SCHEMES", "ENGINE_SCHEMES")):
+                found.add(name)
+    return found
+
+
+def test_engine_modules_refer_to_no_scheme_constant():
+    found = {m: sorted(names) for m in ENGINE_MODULES
+             if (names := scheme_constants(m))}
+    assert found == {}, "the scheme is the ledger's label: see perf_model"

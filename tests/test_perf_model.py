@@ -3,8 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sembox.storage import SCHEME_CG, SCHEME_DG, SCHEME_HYBRID, SCHEMES
 from sembox.perf_model import (
+    SCHEME_CG, SCHEME_DG, SCHEME_HYBRID, SCHEMES,
     BUBBLE_CALIBRATIONS, BUBBLE_CONFIG, PLANETARY_CONFIG, PRESET_SHEETS,
     Calibration, KernelCost, MachineModel, SimConfig,
     count_costs, derived_columns, emit_csv, emit_table, fit_calibration,
