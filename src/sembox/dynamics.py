@@ -156,12 +156,11 @@ def rhs_element_contributions(state_cg: np.ndarray, gids: np.ndarray,
             _first_bad_element(q.reshape(N_VARS, E, -1), axis=1))
     F = flux(q, p_prime_el.reshape(m), metrics.jg.reshape(3, 3, m),
              ws.flux, ws.U)
-    # x runs as one GEMM against D^T (its rows do not depend on how many
-    # the batch holds, which partition invariance needs); each spent flux
-    # block then takes the next direction's result
+    # x runs as GEMMs against D^T in row chunks small enough that OpenBLAS
+    # starts no pool thread (see contract); each spent flux block then
+    # takes the next direction's result
     D = ref.diff_matrix
-    np.matmul(F[0].reshape(-1, n), np.ascontiguousarray(D.T),
-              out=ws.div.reshape(-1, n))
+    contract(D, F[0].reshape(-1, n, n, n), ws.div, 2)
     contract(D, F[1].reshape(-1, n, n, n), F[0], 1)
     ws.div += F[0]
     contract(D, F[2].reshape(-1, n, n, n), F[1], 0)

@@ -15,6 +15,10 @@ engine's only RHS and filter; one worker is the serial run, and any
 worker count gives ``rk_step`` over a serial assembly bit for bit.  A
 worker that stops, for instance with ``storage.MessageLost``, stops the
 others through ``Mailboxes.run``; ``run_bubble`` raises the lowest fault.
+Each worker's diagnostics are partial sums over its owned points, taken
+with numpy's own reductions and combined in partition order; no BLAS
+dot product, whose bits would follow the BLAS thread count and whose
+thread pool, once woken, would spin on the core a second worker needs.
 """
 
 from dataclasses import dataclass, fields
@@ -165,12 +169,13 @@ def _diag_partials(state, ra, numbering, node_sel):
     theta_p = q[:, 4] / q[:, 0] - ra.theta0
     w = M * np.maximum(theta_p, 0.0)
     speed2 = np.sum((q[:, 1:4] / q[:, 0:1]) ** 2, axis=1)
+    # numpy sums, not BLAS dot products (see the module docstring)
     return {
-        "mass": float(M @ q[:, 0]),
+        "mass": float(np.sum(M * q[:, 0])),
         "theta_min": float(theta_p.min()),
         "theta_max": float(theta_p.max()),
         "max_speed2": float(speed2.max()),
-        "wz": float(w @ numbering.node_coords[node_sel, 2]),
+        "wz": float(np.sum(w * numbering.node_coords[node_sel, 2])),
         "w": float(w.sum()),
     }
 

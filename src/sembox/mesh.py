@@ -205,8 +205,8 @@ def compute_metrics(mesh: ColumnMesh, ref: ReferenceElement) -> MetricTerms:
     the element kernel: the linear corner basis takes each element's
     2x2x2 corners to its n x n x n nodes one axis at a time (x, y, z),
     and the nodal differentiation matrix D gives the covariant vectors
-    g_b = dx/dxi_b, along x as one GEMM against D^T and along y and z
-    as per-element batched products.  The coordinate field is degree
+    g_b = dx/dxi_b, through :func:`contract` along all three axes (along
+    x as row-chunked GEMMs against D^T).  The coordinate field is degree
     one per direction, so D reproduces them exactly.  The cofactor rows
     are their cross products, J grad(xi_a) = g_{a+1} x g_{a+2}, each of
     degree two along xi_a, so for p >= 2 the discrete metric identities
@@ -220,14 +220,13 @@ def compute_metrics(mesh: ColumnMesh, ref: ReferenceElement) -> MetricTerms:
     E = mesh.n_elements
     shape = 0.5 * np.stack([1.0 - x, 1.0 + x], axis=1)  # (n, 2) linear basis
     corners = np.ascontiguousarray(np.moveaxis(mesh.vertices, -1, 0))
-    along_x = corners.reshape(-1, 2) @ shape.T          # (3, E, 2, 2, n)
-    along_y = contract(shape, along_x.reshape(3 * E, 2, 2, n),
-                       np.empty((3 * E, 2, n, n)), 1)
+    along_x = contract(shape, corners.reshape(3 * E, 2, 2, 2),
+                       np.empty((3 * E, 2, 2, n)), 2)
+    along_y = contract(shape, along_x, np.empty((3 * E, 2, n, n)), 1)
     xyz = contract(shape, along_y, np.empty((3, E, n, n, n)), 0)
 
     g = np.empty((3,) + xyz.shape)                     # g[b, d] = dx_d/dxi_b
-    np.matmul(xyz.reshape(-1, n), np.ascontiguousarray(D.T),
-              out=g[0].reshape(-1, n))                 # d/dxi
+    contract(D, xyz.reshape(3 * E, n, n, n), g[0], 2)  # d/dxi
     contract(D, xyz.reshape(3 * E, n, n, n), g[1], 1)  # d/deta
     contract(D, xyz.reshape(3 * E, n, n, n), g[2], 0)  # d/dzeta
     coords = np.moveaxis(xyz, 0, -1)

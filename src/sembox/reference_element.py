@@ -164,6 +164,15 @@ def default_filter_cutoff(p: int) -> int:
     return min(p, math.ceil(2 * (p + 1) / 3))
 
 
+# Rows per GEMM when a contraction runs along the last node axis.  Above a
+# few hundred thousand multiply-adds (m*n*k) per call OpenBLAS splits a
+# GEMM over its thread pool, whose threads then spin between calls on the
+# core a second partition worker needs; 2048 rows keep n <= 7 at most
+# 2049*7*7 = 100,401.  The rows of a GEMM do not depend on which others
+# share the call, so the chunking leaves every bit as one GEMM gives it.
+GEMM_ROWS = 2048
+
+
 def contract(A: np.ndarray, src: np.ndarray, dst: np.ndarray, axis: int):
     """Apply the (m, k) matrix A along one node axis of src into dst.
 
@@ -172,17 +181,27 @@ def contract(A: np.ndarray, src: np.ndarray, dst: np.ndarray, axis: int):
     becomes length m in the C-contiguous ``dst``.  The contraction runs as
     a batched matrix product on reshaped views: grouping the leading axes
     and flattening the trailing ones leaves the contracted axis in the
-    middle, which is much faster than the general einsum path.  Each batch
-    entry is a product within one element, so the result does not depend
-    on how many elements the batch holds.  Along x (no trailing axes) this
-    is one matrix-vector product per node row; callers with many rows
-    there run one GEMM against A^T instead.
+    middle, which is much faster than the general einsum path.  Along the
+    last axis (no trailing ones) the node rows run as GEMMs against A^T
+    of ``GEMM_ROWS`` rows each.  Either way every row of the result is
+    the same bits whatever rows share the batch, which partition
+    invariance needs; a whole batch of one row is the exception, as numpy
+    takes a one-row product through its matrix-vector path.
     """
     lead = math.prod(src.shape[:axis + 1])
     k = src.shape[axis + 1]
     trail = src.size // (lead * k)
-    np.matmul(A, src.reshape(lead, k, trail),
-              out=dst.reshape(lead, A.shape[0], trail))
+    if trail > 1:
+        np.matmul(A, src.reshape(lead, k, trail),
+                  out=dst.reshape(lead, A.shape[0], trail))
+        return dst
+    rows, out = src.reshape(lead, k), dst.reshape(lead, A.shape[0])
+    At = np.ascontiguousarray(A.T)
+    bounds = list(range(0, lead, GEMM_ROWS)) + [lead]
+    if len(bounds) > 2 and lead - bounds[-2] == 1:
+        del bounds[-2]  # no one-row chunk: it would take the other path
+    for start, stop in zip(bounds, bounds[1:]):
+        np.matmul(rows[start:stop], At, out=out[start:stop])
     return dst
 
 

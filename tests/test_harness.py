@@ -1,3 +1,4 @@
+import os
 import time
 
 import numpy as np
@@ -264,6 +265,78 @@ def test_state_is_independent_of_blas_threads(run_python):
         assert proc.returncode == 0, proc.stderr
         digests += proc.stdout.split()
     assert len(digests) == 4 and len(set(digests)) == 1, digests
+
+
+# the diagnostics of the default bubble at one and two workers, one digest
+# of diagnostics_csv() a line; run in a subprocess by the run_python fixture
+DIAGNOSTICS_SCRIPT = """
+import hashlib
+from sembox.harness import BubbleConfig, run_bubble
+
+for n_partitions in (1, 2):
+    report, _ = run_bubble(BubbleConfig(n_steps=3), n_partitions=n_partitions)
+    print(hashlib.sha256(report.diagnostics_csv().encode()).hexdigest())
+"""
+
+
+def test_diagnostics_are_independent_of_blas_threads(run_python):
+    """Mass and centroid are reduced in a fixed order, with no BLAS call
+    whose summation order follows the thread count."""
+    runs = []
+    for threads in ("1", "2"):
+        proc = run_python(DIAGNOSTICS_SCRIPT, OPENBLAS_NUM_THREADS=threads)
+        assert proc.returncode == 0, proc.stderr
+        runs.append(proc.stdout.split())
+    assert len(runs[0]) == 2 and runs[0] == runs[1], runs
+
+
+# CPU clock ticks of the main thread and of the threads that were already
+# there before run_bubble and still are after it (OpenBLAS's pool; the
+# partition workers come and go inside the run), one line per mesh and
+# worker count: the default bubble, and p = 6 4x4x8, whose x GEMM alone
+# would start the pool at both counts; run in a subprocess by the
+# run_python fixture (conftest.py)
+POOL_SCRIPT = """
+import os
+from sembox.harness import BubbleConfig, run_bubble
+
+def ticks():
+    out = {}
+    for tid in os.listdir("/proc/self/task"):
+        try:
+            with open(f"/proc/self/task/{tid}/stat") as f:
+                fields = f.read().rsplit(")", 1)[1].split()
+        except FileNotFoundError:   # the thread ended meanwhile
+            continue
+        out[tid] = int(fields[11]) + int(fields[12])   # utime + stime
+    return out
+
+main = str(os.getpid())
+for config in (BubbleConfig(n_steps=5),
+               BubbleConfig(nx=4, ny=4, layers=8, order=6, n_steps=5)):
+    for n_partitions in (1, 2):
+        before = ticks()
+        run_bubble(config, n_partitions=n_partitions)
+        after = ticks()
+        pool = sum(after[t] - before[t] for t in before
+                   if t in after and t != main)
+        print(config.order, n_partitions, after[main] - before[main], pool)
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="needs per-thread CPU times from /proc")
+def test_blas_pool_stays_idle(run_python):
+    """No BLAS call of a run is large enough to start OpenBLAS's threads,
+    whose busy-wait would take the core a second worker needs.  CPU
+    accounting with a wide margin, not a timing: a woken pool spins about
+    as long as the main thread works."""
+    proc = run_python(POOL_SCRIPT, OPENBLAS_NUM_THREADS="2")
+    assert proc.returncode == 0, proc.stderr
+    rows = [[int(v) for v in line.split()] for line in proc.stdout.splitlines()]
+    assert len(rows) == 4, proc.stdout
+    for order, n_partitions, main, pool in rows:
+        assert main > 0 and 10 * pool <= main, rows
 
 
 class TestDivergence:

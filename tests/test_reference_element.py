@@ -205,3 +205,48 @@ class TestReferenceElement:
         ref = ReferenceElement.create(2)
         with pytest.raises(ValueError):
             ref.points[0] = 0.0
+
+
+# row slices of a trailing-axis contraction against the whole batch, and
+# the whole batch against one GEMM with A^T, for p = 1..6 and for the
+# corner basis (k = 2) as well as D (k = n); slices start inside and at
+# the ends of GEMM_ROWS chunks and span up to three of them; prints every
+# (p, k, start, length) whose rows differ in any bit; run in a subprocess
+# by the run_python fixture (conftest.py)
+SLICE_SCRIPT = """
+import numpy as np
+from sembox.reference_element import GEMM_ROWS, ReferenceElement, contract
+
+rng = np.random.default_rng(11)
+rows = 3 * GEMM_ROWS + 5
+for p in range(1, 7):
+    ref = ReferenceElement.create(p)
+    basis = 0.5 * np.stack([1.0 - ref.points, 1.0 + ref.points], axis=1)
+    for A in (ref.diff_matrix, basis):
+        m, k = A.shape
+        src = rng.standard_normal((rows, k))
+        whole = contract(A, src, np.empty((rows, m)), 0)
+        if not np.array_equal(whole, src @ np.ascontiguousarray(A.T)):
+            print(p, k, "one GEMM")
+        for start in (0, 1, 3, GEMM_ROWS - 1, GEMM_ROWS + 1):
+            for length in (2, 5, GEMM_ROWS - 1, GEMM_ROWS, GEMM_ROWS + 1,
+                           2 * GEMM_ROWS + 1, rows):
+                part = src[start:start + length]
+                got = contract(A, part, np.empty((len(part), m)), 0)
+                if not np.array_equal(got, whole[start:start + length]):
+                    print(p, k, start, length)
+print("checked")
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_trailing_contraction_rows_do_not_depend_on_the_slice(
+        run_python, threads):
+    """Along the last node axis every output row is the same bits as one
+    GEMM gives it, whatever rows share its batch, at either OpenBLAS
+    thread count: the kernel's x derivative and the metric terms rely on
+    it for partition invariance.  (A batch of one row is the exception:
+    numpy runs it as a matrix-vector product.)"""
+    proc = run_python(SLICE_SCRIPT, OPENBLAS_NUM_THREADS=threads)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[0] == "checked", proc.stdout
