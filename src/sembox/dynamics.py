@@ -5,23 +5,15 @@ Theta the density-weighted potential temperature.  Pressure and gravity
 enter in perturbation form about the frozen hydrostatic background, so
 the resting reference atmosphere is a machine-exact steady state.
 
-The element kernel works on whole batches of elements in the
-contravariant flux form (Kopriva, *Implementing Spectral Methods for
-PDEs*, 2009): the physical flux is rotated once per node by the metric
-cofactor J d(xi_a)/d(x_d) into one flux per reference direction, and
-each is differentiated along its own direction only, 15 one-direction
-contractions per node (3 directions x 5 variables) on
-structure-of-arrays data.  On affine elements this equals the chain-rule
-form to round-off; on trilinear mapped elements it is the conservative
-form and keeps a uniform flow uniform only for p >= 2, where the
-discrete metric identities hold (at p = 1 a mapped 2x2x2 box leaves a
-free-stream residual of order 1e-3 relative to the flux change across an
-element).  The perturbation pressure is evaluated once per unique point
-and gathered (:func:`element_pressure`), under every storage scheme; the
-kernel evaluates none.  It produces J*w-weighted contributions; the
-partition workers in ``harness`` assemble them into unique grid points
-through ``storage.PartitionLayout.exchange``, the engine's one assembly
-(serial is its one-partition case).
+Both element operators, the right-hand side (contravariant flux form;
+Kopriva, *Implementing Spectral Methods for PDEs*, 2009) and the modal
+filter, run on one pipeline: :func:`element_soa` gathers a batch of
+elements as a structure of arrays, ``contract`` applies a 1D operator
+along z, y or x of it, and :func:`_weight_into` writes the J*w-weighted
+result into the (E, n, n, n, 5) contributions that the workers in
+``harness`` assemble (``storage.PartitionLayout.exchange``, the engine's
+one assembly).  The perturbation pressure is evaluated once per unique
+point and gathered (:func:`element_pressure`); the kernel evaluates none.
 """
 
 from dataclasses import dataclass
@@ -116,6 +108,15 @@ def element_soa(cg: np.ndarray, gids: np.ndarray) -> np.ndarray:
     return np.take(cg.T, gids, axis=1)
 
 
+def _weight_into(contrib, values, weights) -> np.ndarray:
+    """``values`` (5, E, n^3) times ``weights`` (broadcast against
+    (E, n^3)) into the contributions ``contrib`` (E, n, n, n, 5)."""
+    E = contrib.shape[0]
+    np.multiply(values.reshape(N_VARS, E, -1), weights,
+                out=contrib.reshape(E, -1, N_VARS).transpose(2, 0, 1))
+    return contrib
+
+
 def _first_bad_element(arr: np.ndarray, axis: int = 0) -> int:
     """First element with a non-finite value; ``axis`` is the element axis."""
     bad = ~np.isfinite(np.moveaxis(arr, axis, 0).reshape(arr.shape[axis], -1))
@@ -166,10 +167,9 @@ def rhs_element_contributions(state_cg: np.ndarray, gids: np.ndarray,
     contract(D, F[2].reshape(-1, n, n, n), F[1], 0)
     ws.div += F[1]
 
-    contrib = np.empty((E, n, n, n, N_VARS))
+    contrib = _weight_into(np.empty((E, n, n, n, N_VARS)), ws.div,
+                           -ref.weights_3d.reshape(-1))
     flat = contrib.reshape(E, n ** 3, N_VARS)
-    np.multiply(ws.div.reshape(N_VARS, E, -1), -ref.weights_3d.reshape(-1),
-                out=flat.transpose(2, 0, 1))
     # source: gravity acting on the density perturbation only
     flat[..., 3] -= (const.gravity * metrics.jw.reshape(E, -1)
                      * (q[0].reshape(E, -1) - rho_bar_el))
@@ -201,31 +201,31 @@ def element_pressure(state_cg: np.ndarray, gids: np.ndarray,
     return p_cg[gids]
 
 
-def filter_element(state_el: np.ndarray, ref: ReferenceElement) -> np.ndarray:
-    """Tensor-product application of the modal filter inside each element.
-
-    Three sequential one-direction transforms, ping-ponged through a
-    scratch buffer.
-    """
+def filter_element(q: np.ndarray, ref: ReferenceElement) -> np.ndarray:
+    """The modal filter along z, y and x of the structure-of-arrays batch
+    ``q`` (B, n, n, n), between one scratch buffer and ``q``, which it
+    overwrites; returns the filtered batch."""
     F = ref.filter_matrix
-    n = ref.n_nodes
-    E = state_el.shape[0]
-    q = np.ascontiguousarray(state_el.reshape(E, n, n, n, -1))
     scratch = np.empty_like(q)
     contract(F, q, scratch, 0)
-    out = np.empty_like(q)
-    contract(F, scratch, out, 1)
-    contract(F, out, scratch, 2)
+    contract(F, scratch, q, 1)
+    contract(F, q, scratch, 2)
     return scratch
 
 
 def filter_contributions(state_cg: np.ndarray, gids: np.ndarray,
                          jw: np.ndarray, ref: ReferenceElement):
-    """J*w-weighted filtered values of the elements at ``gids``, to be
-    assembled by DSS; None when the filter is off (``filter_mu == 0``)."""
+    """J*w-weighted filtered values of the elements at ``gids`` (E, n^3),
+    for DSS; None when the filter is off (``filter_mu == 0``)."""
     if ref.filter_mu == 0.0:
         return None
-    return filter_element(state_cg[gids], ref) * jw[..., None]
+    E, n = gids.shape[0], ref.n_nodes
+    # the gather is freed before the contributions come: with three batch
+    # arrays live, glibc gave back its heap top and faulted it in each call
+    filtered = filter_element(
+        element_soa(state_cg, gids).reshape(-1, n, n, n), ref)
+    return _weight_into(np.empty((E, n, n, n, N_VARS)), filtered,
+                        jw.reshape(E, -1))
 
 
 def apply_boundary(state_cg: np.ndarray, numbering: CgNumbering) -> np.ndarray:

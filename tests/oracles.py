@@ -17,7 +17,10 @@ Serial operators: the engine assembles only through
 serial right-hand side, filter and direct stiffness summation here run
 the engine's element kernels on the whole mesh and assemble them with
 the color-batch loop, the canonical summation order by definition; the
-partitioned runs must match them bit for bit.
+partitioned runs must match them bit for bit.  The filter's reference
+is the array-of-structures form the engine replaced: a gathered
+(E, n, n, n, 5) copy filtered along z, y and x, then weighted; the
+engine's structure-of-arrays filter must give the same bytes.
 
 Set-up references: the engine builds the metric terms by separable
 contractions and takes the Courant step one axis at a time.  The
@@ -41,6 +44,7 @@ from sembox.dynamics import (RhsWorkspace, element_pressure,
                              rhs_element_contributions as engine_contributions)
 from sembox.mesh import MetricTerms, build_box_mesh
 from sembox.perf_model import SCHEME_CG, SCHEME_DG, SCHEME_LABELS
+from sembox.reference_element import contract
 from sembox.storage import N_VARS
 from sembox.time_integration import RkScheme
 
@@ -180,6 +184,22 @@ def apply_filter(state_cg, disc) -> np.ndarray:
     contrib = filter_contributions(state_cg, num.global_ids, disc.metrics.jw,
                                    disc.ref)
     return state_cg if contrib is None else dss(contrib, num)
+
+
+def aos_filter_contributions(state_cg, gids, jw, ref) -> np.ndarray:
+    """J*w-weighted filtered values of the elements at ``gids`` (E, n^3)
+    on an array-of-structures (E, n, n, n, 5) copy: the filter matrix
+    along z, y and x, ping-ponged through a scratch buffer, then times
+    ``jw`` (E, n, n, n)."""
+    F = ref.filter_matrix
+    n = ref.n_nodes
+    q = state_cg[gids].reshape(gids.shape[0], n, n, n, -1)
+    scratch = np.empty_like(q)
+    contract(F, q, scratch, 0)
+    out = np.empty_like(q)
+    contract(F, scratch, out, 1)
+    contract(F, out, scratch, 2)
+    return scratch * jw[..., None]
 
 
 def einsum_metrics(mesh, ref) -> MetricTerms:

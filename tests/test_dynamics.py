@@ -3,13 +3,13 @@ import pytest
 import sympy as sp
 
 from sembox.reference_element import ReferenceElement, legendre
-from sembox.mesh import build_cg_numbering, compute_metrics
+from sembox.mesh import build_cg_numbering, compute_metrics, partition_columns
 from sembox.perf_model import SCHEME_CG, SCHEME_DG
 from sembox.storage import N_VARS, ReferenceAtmosphere
 from sembox.dynamics import (
     Discretization, DivergedStateError, GasConstants, RhsWorkspace,
-    StateValidityError, apply_boundary, element_pressure, pressure,
-    rhs_element_contributions,
+    StateValidityError, apply_boundary, element_pressure,
+    filter_contributions, pressure, rhs_element_contributions,
 )
 from sembox.harness import BubbleConfig, build_discretization, init_bubble
 
@@ -294,6 +294,26 @@ class TestContravariantKernel:
 
 
 class TestFilterApplication:
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 6])
+    def test_contributions_equal_the_aos_oracle_bytes(self, order):
+        # every batch a run hands the filter: the whole mesh and each
+        # partition of a 2-way and a 3-way split; signed zeros included
+        cfg = BubbleConfig(nx=4, ny=4, layers=2, order=order)
+        disc = build_discretization(cfg)
+        rng = np.random.default_rng(order)
+        state = rng.standard_normal((disc.numbering.n_unique, N_VARS))
+        state[rng.random(state.shape) < 0.3] = -0.0
+        gids, jw = disc.numbering.global_ids, disc.metrics.jw
+        batches = [slice(0, gids.shape[0])] + [
+            slice(part.elem_start, part.elem_stop)
+            for k in (2, 3) for part in partition_columns(disc.mesh, k)]
+        for sl in batches:
+            got = filter_contributions(state, gids[sl], jw[sl], disc.ref)
+            want = oracles.aos_filter_contributions(state, gids[sl], jw[sl],
+                                                    disc.ref)
+            assert got.shape == want.shape and got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes()
+
     def test_zero_strength_bitwise_identity(self):
         cfg = BubbleConfig(nx=2, ny=2, layers=2, filter_mu=0.0)
         disc = build_discretization(cfg)

@@ -298,6 +298,7 @@ def test_diagnostics_are_independent_of_blas_threads(run_python):
 # run_python fixture (conftest.py)
 POOL_SCRIPT = """
 import os
+import time
 from sembox.harness import BubbleConfig, run_bubble
 
 def ticks():
@@ -312,6 +313,21 @@ def ticks():
     return out
 
 main = str(os.getpid())
+
+def pool_ticks():
+    return sum(v for t, v in ticks().items() if t != main)
+
+# OpenBLAS's pool spins for a while after numpy's import, before any run:
+# open the first window once its ticks stop changing (2 s at most)
+deadline = time.monotonic() + 2.0
+prev = pool_ticks()
+while time.monotonic() < deadline:
+    time.sleep(0.05)
+    cur = pool_ticks()
+    if cur == prev:
+        break
+    prev = cur
+
 for config in (BubbleConfig(n_steps=5),
                BubbleConfig(nx=4, ny=4, layers=8, order=6, n_steps=5)):
     for n_partitions in (1, 2):
@@ -330,7 +346,8 @@ def test_blas_pool_stays_idle(run_python):
     """No BLAS call of a run is large enough to start OpenBLAS's threads,
     whose busy-wait would take the core a second worker needs.  CPU
     accounting with a wide margin, not a timing: a woken pool spins about
-    as long as the main thread works."""
+    as long as the main thread works.  The first window opens only once
+    the pool's spin after numpy's import has ended."""
     proc = run_python(POOL_SCRIPT, OPENBLAS_NUM_THREADS="2")
     assert proc.returncode == 0, proc.stderr
     rows = [[int(v) for v in line.split()] for line in proc.stdout.splitlines()]
