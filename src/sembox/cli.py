@@ -64,6 +64,9 @@ _SCENARIO_KEYS = {
 }
 # float elements, so a scenario prints (100.0, 264.0, 396.0) for nx = 100
 _SCENARIO_BASE = SimConfig(elements=(264.0, 264.0, 396.0))
+# `perfmodel` flags that shape an --elements scenario only, with the
+# SimConfig defaults as their defaults
+_ELEMENTS_FLAGS = ("order", "machines", "timesteps")
 
 
 def load_config_file(path) -> dict:
@@ -172,9 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="published cost sheet or model-generated scenario")
     p.add_argument("--scenario", help="key=value file describing the scenario")
     p.add_argument("--elements", help="nx,ny,nz element counts")
-    p.add_argument("--order", type=int, default=3)
-    p.add_argument("--machines", type=int, default=768)
-    p.add_argument("--timesteps", type=int, default=690)
+    for key in _ELEMENTS_FLAGS:
+        p.add_argument("--" + key, type=int, default=getattr(SimConfig, key))
     p.add_argument("--penalty", choices=("auto", "on", "off"), default="auto")
     p.add_argument("--bandwidth", type=float, default=28.5e9)
     p.add_argument("--peak", type=float, default=204.8e9)
@@ -233,7 +235,23 @@ def cmd_scale(args) -> int:
     return EXIT_OK
 
 
+def _check_perfmodel_flags(args):
+    given = [f"--{key}" for key in ("preset", "scenario", "elements")
+             if getattr(args, key)]
+    if len(given) > 1:
+        raise ConfigError(f"perfmodel takes one of --preset, --scenario and "
+                          f"--elements, got {' and '.join(given)}")
+    moved = [f"--{key} {getattr(args, key)}" for key in _ELEMENTS_FLAGS
+             if getattr(args, key) != getattr(SimConfig, key)]
+    if moved and not args.elements:
+        raise ConfigError(f"--order, --machines and --timesteps apply to "
+                          f"--elements only, got {', '.join(moved)} without it "
+                          "(a flag given at its default value cannot be told "
+                          "from no flag)")
+
+
 def cmd_perfmodel(args) -> int:
+    _check_perfmodel_flags(args)
     machine = MachineModel(bandwidth=args.bandwidth, peak_flops=args.peak,
                            cache_line=args.cache_line, l2_bytes=int(args.l2))
     if args.preset in PRESET_SHEETS:

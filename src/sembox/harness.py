@@ -407,9 +407,9 @@ def _ledger_flops(config: BubbleConfig, timed_steps: int) -> float:
 # ---------------------------------------------------------------------------
 
 def run_bubble(config: BubbleConfig, n_partitions: int = 1,
-               const: GasConstants | None = None,
                out_dir: str | None = None):
-    """Run the bubble test on ``n_partitions`` workers.
+    """Run the bubble test on ``n_partitions`` workers, with the default
+    gas constants.
 
     Returns (RunReport, final_state).  Snapshots and the diagnostics CSV
     land in ``out_dir`` when given; without it no snapshot is collected.
@@ -418,7 +418,7 @@ def run_bubble(config: BubbleConfig, n_partitions: int = 1,
     with ``failed_step`` set in the report.
     """
     config.validate()
-    const = const or GasConstants()
+    const = GasConstants()
     setup0 = time.perf_counter()
     disc = build_discretization(config)
     state0, ra = init_bubble(config, disc, const)
@@ -516,8 +516,7 @@ class ScalePoint:
     phase_efficiency: dict
 
 
-def scale_experiment(config: BubbleConfig, partition_counts,
-                     const: GasConstants | None = None) -> list[ScalePoint]:
+def scale_experiment(config: BubbleConfig, partition_counts) -> list[ScalePoint]:
     """Strong scaling over worker counts at fixed problem size.
 
     Efficiency of T workers over the baseline T0 (the first entry) is
@@ -528,7 +527,7 @@ def scale_experiment(config: BubbleConfig, partition_counts,
     points = []
     base = None
     for T in partition_counts:
-        report, _ = run_bubble(config, n_partitions=T, const=const)
+        report, _ = run_bubble(config, n_partitions=T)
         if report.failed_step is not None:
             raise DivergedRunError(T, report.failed_step)
         if report.timed_steps == 0:

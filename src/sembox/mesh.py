@@ -119,15 +119,13 @@ class ColumnMesh:
 
 def build_box_mesh(nx: int, ny: int, nz_layers: int,
                    Lx: float, Ly: float, Lz: float,
-                   mapping=None, layer_counts=None) -> ColumnMesh:
+                   layer_counts=None) -> ColumnMesh:
     """Build an nx x ny column grid with ``nz_layers`` elements per column.
 
     nx and ny must be equal powers of two (the footprint is one uniformly
-    refined quadtree).  ``mapping``, if given, is a vectorized
-    (x, y, z) -> (x, y, z) function applied to the element corner
-    coordinates, allowing smoothly curved elements.  ``layer_counts``
-    overrides the per-column layer count (same Morton order); such meshes
-    can be partitioned but not CG-numbered.
+    refined quadtree).  ``layer_counts`` overrides the per-column layer
+    count (same Morton order); such meshes can be partitioned but not
+    CG-numbered.
     """
     t0 = time.perf_counter()
     if nx != ny:
@@ -163,9 +161,6 @@ def build_box_mesh(nx: int, ny: int, nz_layers: int,
     verts[..., 1] = dy * (cj[:, None, None, None] + corner[None, None, :, None])
     verts[..., 2] = dz[:, None, None, None] * (elem_layer[:, None, None, None]
                                                + corner[None, :, None, None])
-    if mapping is not None:
-        mx, my, mz = mapping(verts[..., 0], verts[..., 1], verts[..., 2])
-        verts = np.stack([mx, my, mz], axis=-1)
 
     return ColumnMesh(
         level=level, nx=nx, ny=ny, extents=(Lx, Ly, Lz),

@@ -55,6 +55,7 @@ FLOPS_POW = 96
 N_PROGNOSTIC = 5
 N_REF_FIELDS = 3
 N_METRIC_FIELDS = 10  # nine metric-cofactor entries (jg) plus the J*w weight
+DOUBLE_BYTES = 8.0
 
 
 @dataclass(frozen=True)
@@ -70,12 +71,11 @@ class MachineModel:
     peak_flops: float = 204.8e9
     cache_line: int = 128
     l2_bytes: int = 32 * 2 ** 20
-    double_bytes: int = 8
 
     def __post_init__(self):
         if not all(math.isfinite(v) and v > 0
                    for v in (self.bandwidth, self.peak_flops, self.cache_line,
-                             self.l2_bytes, self.double_bytes)):
+                             self.l2_bytes)):
             raise ValueError("machine parameters must be finite and positive")
 
     @property
@@ -96,8 +96,7 @@ class KernelCost:
                           self.read_bytes + other.read_bytes,
                           self.write_bytes + other.write_bytes)
 
-    def scaled(self, flops: float = 1.0, read: float = 1.0,
-               write: float = 1.0) -> "KernelCost":
+    def scaled(self, flops: float, read: float, write: float) -> "KernelCost":
         return KernelCost(self.flops * flops, self.read_bytes * read,
                           self.write_bytes * write)
 
@@ -134,7 +133,6 @@ class SimConfig:
     timesteps: int = 690
     stages: int = 5
     scheme: str = SCHEME_CG
-    n_vars: int = N_PROGNOSTIC
     metric_scheme: str = "dg"     # "dg" (stored duplicated) or "recompute"
     calibration: Calibration = Calibration()
 
@@ -145,8 +143,8 @@ class SimConfig:
             raise ValueError(f"unknown metric scheme {self.metric_scheme!r}")
         if self.order < 1 or self.timesteps < 1 or self.machines < 1:
             raise ValueError("order, timesteps and machines must be positive")
-        if self.stages < 1 or self.n_vars < 1:
-            raise ValueError("stages and n_vars must be at least 1")
+        if self.stages < 1:
+            raise ValueError("stages must be at least 1")
         if not all(math.isfinite(n) and n > 0 for n in self.elements):
             raise ValueError(f"element counts {self.elements} must be finite "
                              "and positive")
@@ -176,15 +174,11 @@ def line_inflation(run_bytes: float, line_bytes: int = 128) -> float:
     return line_bytes / min(run_bytes, line_bytes)
 
 
-def _gathered_passes_per_stage(scheme: str) -> int:
-    # element-kernel gathers of CG-stored fields: the five prognostic
-    # variables plus the precomputed perturbation pressure; CG storage
-    # also gathers the background density for the buoyancy source
-    if scheme == SCHEME_CG:
-        return N_PROGNOSTIC + 2
-    if scheme == SCHEME_HYBRID:
-        return N_PROGNOSTIC + 1
-    return 0
+# element-kernel gathers of CG-stored fields per stage: the five prognostic
+# variables plus the precomputed perturbation pressure; CG storage also
+# gathers the background density for the buoyancy source
+_GATHERED_PASSES = {SCHEME_CG: N_PROGNOSTIC + 2, SCHEME_HYBRID: N_PROGNOSTIC + 1,
+                    SCHEME_DG: 0}
 
 
 def count_costs(config: SimConfig, raw: bool = False) -> dict[str, KernelCost]:
@@ -194,10 +188,10 @@ def count_costs(config: SimConfig, raw: bool = False) -> dict[str, KernelCost]:
     and ``total``.  ``raw=True`` skips the calibration multipliers.
     """
     p = config.order
-    nv = config.n_vars
+    nv = N_PROGNOSTIC
     steps = config.timesteps
     stages = config.stages
-    B = 8.0  # bytes per double
+    B = DOUBLE_BYTES
 
     n_dg = config.points_dg / config.machines
     n_cg = config.points_cg / config.machines
@@ -256,10 +250,7 @@ def count_costs(config: SimConfig, raw: bool = False) -> dict[str, KernelCost]:
 
     costs = {"create_rhs": create, "dss": dss, "filter": filt,
              "update": update, "diagnostics": diag}
-    for k in costs:
-        costs[k] = KernelCost(costs[k].flops * steps,
-                              costs[k].read_bytes * steps,
-                              costs[k].write_bytes * steps)
+    costs = {k: v.scaled(steps, steps, steps) for k, v in costs.items()}
     if not raw:
         c = config.calibration
         costs = {k: v.scaled(c.flops, c.read, c.write) for k, v in costs.items()}
@@ -269,10 +260,9 @@ def count_costs(config: SimConfig, raw: bool = False) -> dict[str, KernelCost]:
 
 def working_set_bytes(config: SimConfig) -> float:
     """State + metric + background bytes touched each step, per node."""
-    nv = config.n_vars
-    return 8.0 * (nv * config.points_stored
-                  + N_METRIC_FIELDS * config.points_dg
-                  + N_REF_FIELDS * config.points_stored) / config.machines
+    return DOUBLE_BYTES * (N_PROGNOSTIC * config.points_stored
+                           + N_METRIC_FIELDS * config.points_dg
+                           + N_REF_FIELDS * config.points_stored) / config.machines
 
 
 def random_access_penalty(costs: dict[str, KernelCost], config: SimConfig,
@@ -292,8 +282,8 @@ def random_access_penalty(costs: dict[str, KernelCost], config: SimConfig,
         return dict(costs)
 
     p = config.order
-    nv = config.n_vars
-    B = float(machine.double_bytes)
+    nv = N_PROGNOSTIC
+    B = DOUBLE_BYTES
     steps = config.timesteps
     n_dg = config.points_dg / config.machines
     n_cg = config.points_cg / config.machines
@@ -305,7 +295,7 @@ def random_access_penalty(costs: dict[str, KernelCost], config: SimConfig,
         kappa = line_inflation((p + 1) * B, machine.cache_line) * p / (p + 1)
         kappa = max(kappa, 1.0)
         per_pass = (kappa * n_dg - n_cg) * B  # extra bytes per gathered field
-        per_step = _gathered_passes_per_stage(config.scheme) * config.stages + nv
+        per_step = _GATHERED_PASSES[config.scheme] * config.stages + nv
         extra = steps * per_step * per_pass * read_cal
         rhs_share = (per_step - nv) / per_step
         out["create_rhs"] = out["create_rhs"] + KernelCost(0.0, extra * rhs_share, 0.0)
@@ -411,34 +401,24 @@ PLANETARY_CONFIG = SimConfig(order=3, elements=(396, 396, 10), machines=972,
 
 
 def fit_calibration(config: SimConfig, sheet: CostSheet,
-                    machine: MachineModel | None = None,
-                    penalized: bool = True,
-                    scheme: str | None = None) -> Calibration:
-    """Multipliers matching the ledger to a cost sheet.
-
-    With ``scheme`` the fit is exact for that storage layout (three
-    ratios); otherwise a least-squares compromise over all three.
+                    scheme: str) -> Calibration:
+    """Multipliers matching the ledger to a cost sheet for one storage
+    scheme: three exact ratios of the sheet's totals to the ledger's,
+    repriced for random access on the default machine.
     """
-    machine = machine or MachineModel()
-    base = replace(config, calibration=Calibration())
-    schemes = [scheme] if scheme is not None else list(SCHEMES)
-    num = {"flops": 0.0, "read": 0.0, "write": 0.0}
-    den = {"flops": 0.0, "read": 0.0, "write": 0.0}
-    for s in schemes:
-        cfg = replace(base, scheme=s)
-        costs = count_costs(cfg)
-        if penalized:
-            costs = random_access_penalty(costs, cfg, machine, force=True)
-        model = costs["total"]
-        target = sheet.cost(s)
-        for key, mv, tv in (("flops", model.flops, target.flops),
-                            ("read", model.read_bytes, target.read_bytes),
-                            ("write", model.write_bytes, target.write_bytes)):
-            num[key] += mv * tv
-            den[key] += mv * mv
-    return Calibration(flops=num["flops"] / den["flops"],
-                       read=num["read"] / den["read"],
-                       write=num["write"] / den["write"])
+    cfg = replace(config, scheme=scheme, calibration=Calibration())
+    model = random_access_penalty(count_costs(cfg), cfg, MachineModel(),
+                                  force=True)["total"]
+    target = sheet.cost(scheme)
+
+    def ratio(m, t):
+        # the one-term least-squares quotient, not t / m: the multipliers
+        # keep the bits they were first fitted with
+        return (m * t) / (m * m)
+
+    return Calibration(flops=ratio(model.flops, target.flops),
+                       read=ratio(model.read_bytes, target.read_bytes),
+                       write=ratio(model.write_bytes, target.write_bytes))
 
 
 # Per-scheme multipliers fitting the raw ledger to the repriced bubble sheet.
@@ -527,8 +507,7 @@ def _min_gap_fraction(p: int) -> float:
     return float(np.diff(pts).min()) / 2.0
 
 
-def order_sweep(base: SimConfig, p_range=range(1, 8),
-                machine: MachineModel | None = None,
+def order_sweep(base: SimConfig, p_range=range(1, 8), *,
                 penalized: bool = False,
                 calibrations: dict | None = None) -> dict:
     """Runtime per step and time to solution across polynomial orders.
@@ -539,13 +518,14 @@ def order_sweep(base: SimConfig, p_range=range(1, 8),
     which shrinks as the Lobatto nodes cluster at higher order.  With
     ``penalized`` the cache-line repricing is forced on; the default
     prices every order cache-friendly, since the line-waste factors are
-    anchored at the base order and do not extrapolate across p.
+    anchored at the base order and do not extrapolate across p.  Every
+    order is priced on the default machine.
     """
     if not p_range:
         raise ValueError(f"order sweep got an empty order range {p_range}")
     if min(p_range) < 1 or max(p_range) > 10:
         raise ValueError("order sweep supports p in [1, 10]")
-    machine = machine or MachineModel()
+    machine = MachineModel()
     p0 = base.order
     points_dir = [p0 * n for n in base.elements]  # point intervals per direction
     dt0 = p0 * _min_gap_fraction(p0)

@@ -53,10 +53,9 @@ def lobatto_points(p: int):
     for i in range(1, p):
         xi = x[i]
         for _ in range(100):
-            _, dp = legendre(p, xi)
+            pp, dp = legendre(p, xi)
             # g = (1-x^2) P_p'; g' = -2x P_p' + (1-x^2) P_p'' and the Legendre
             # ODE gives (1-x^2) P_p'' = 2x P_p' - p(p+1) P_p, so g' = -p(p+1) P_p.
-            pp, _ = legendre(p, xi)
             g = (1.0 - xi * xi) * dp
             dg = -p * (p + 1) * pp
             dx = -g / dg

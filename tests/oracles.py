@@ -37,6 +37,8 @@ computes in bulk: a Lagrange cardinal polynomial, the mass integral, a
 column's elements, the forward Euler scheme, and the CSV table read back.
 """
 
+import dataclasses
+
 import numpy as np
 
 from sembox.dynamics import (RhsWorkspace, element_pressure,
@@ -53,13 +55,12 @@ def mapped_box_mesh():
     """2x2x2 trilinear elements in a 1000 m box whose interior vertex is
     moved, so no element is affine; the walls stay planar."""
     L = 1000.0
-
-    def mapping(x, y, z):
-        return (x + 30.0 * np.sin(np.pi * x / L) * np.sin(np.pi * y / L),
-                y - 25.0 * np.sin(np.pi * y / L) * np.sin(np.pi * z / L),
-                z + 20.0 * np.sin(np.pi * x / L) * np.sin(np.pi * z / L))
-
-    return build_box_mesh(2, 2, 2, L, L, L, mapping=mapping)
+    mesh = build_box_mesh(2, 2, 2, L, L, L)
+    x, y, z = np.moveaxis(mesh.vertices, -1, 0)
+    moved = (x + 30.0 * np.sin(np.pi * x / L) * np.sin(np.pi * y / L),
+             y - 25.0 * np.sin(np.pi * y / L) * np.sin(np.pi * z / L),
+             z + 20.0 * np.sin(np.pi * x / L) * np.sin(np.pi * z / L))
+    return dataclasses.replace(mesh, vertices=np.stack(moved, axis=-1))
 
 
 def inverse_jacobian(metrics) -> np.ndarray:

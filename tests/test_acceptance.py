@@ -77,7 +77,7 @@ def test_scheme_ordering_properties():
 
 def test_order_sweep_shape():
     base = replace(BUBBLE_CONFIG, calibration=Calibration())
-    sweep = order_sweep(base, range(1, 8), MACHINE)
+    sweep = order_sweep(base, range(1, 8))
     for scheme in SCHEMES:
         tps = [r["time_per_step"] for r in sweep[scheme]]
         assert all(a >= b for a, b in zip(tps, tps[1:])), \

@@ -99,6 +99,43 @@ class TestPerfmodelCommand:
         assert "machine parameters must be finite and positive" in err
         assert "analytic ledger" not in out
 
+    @pytest.mark.parametrize("sources", [
+        ("--preset", "table1", "--scenario", "S"),
+        ("--preset", "bubble", "--elements", "8,8,8"),
+        ("--scenario", "S", "--elements", "8,8,8"),
+        ("--preset", "table1", "--scenario", "S", "--elements", "8,8,8")])
+    def test_two_scenario_sources_exit_2(self, capsys, tmp_path, sources):
+        scn = tmp_path / "case.cfg"
+        scn.write_text("nx = 64\n")
+        argv = [str(scn) if a == "S" else a for a in sources]
+        code, out, err = run_cli(capsys, "perfmodel", *argv)
+        assert code == EXIT_CONFIG
+        assert "takes one of --preset, --scenario and --elements" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("source", [("--preset", "bubble"),
+                                        ("--preset", "table1"),
+                                        ("--scenario", "S")])
+    @pytest.mark.parametrize("flag,value", [("--order", "5"),
+                                            ("--machines", "4"),
+                                            ("--timesteps", "5")])
+    def test_elements_flag_without_elements_exits_2(self, capsys, tmp_path,
+                                                    source, flag, value):
+        scn = tmp_path / "case.cfg"
+        scn.write_text("nx = 64\n")
+        argv = [str(scn) if a == "S" else a for a in source]
+        code, out, err = run_cli(capsys, "perfmodel", *argv, flag, value)
+        assert code == EXIT_CONFIG
+        assert f"got {flag} {value} without it" in err
+        assert out == ""
+
+    def test_elements_flag_at_its_default_passes(self, capsys):
+        # the parser cannot tell an explicit default from an absent flag
+        code, out, _ = run_cli(capsys, "perfmodel", "--preset", "table1",
+                               "--order", "3")
+        assert code == EXIT_OK
+        assert "97.94" in out
+
     @pytest.mark.parametrize("line", ["nx = 0", "nz = nan", "stages = 0"])
     def test_impossible_scenario_exits_2(self, capsys, tmp_path, line):
         scn = tmp_path / "case.cfg"

@@ -26,16 +26,23 @@ def _public(name: str) -> bool:
     return not name.startswith("_")
 
 
+def _sources():
+    """The parsed package (its ``__init__`` aside), and ``demos`` and
+    ``perfbench``."""
+    package = _parse(p for p in sorted((ROOT / "src" / "sembox").glob("*.py"))
+                     if p.name != "__init__.py")
+    others = _parse([*sorted((ROOT / "demos").glob("*.py")),
+                     *sorted((ROOT / "perfbench").glob("*.py"))])
+    return package, others
+
+
 def unused_public_names() -> set[str]:
     """Public top-level functions and classes of ``src/sembox`` that no
     ``Name`` or ``Attribute`` outside their own definition refers to, and
     public methods and properties no ``Attribute`` refers to, counting the
     package (its ``__init__`` re-exports aside), ``demos`` and
     ``perfbench``."""
-    package = _parse(p for p in sorted((ROOT / "src" / "sembox").glob("*.py"))
-                     if p.name != "__init__.py")
-    others = _parse([*sorted((ROOT / "demos").glob("*.py")),
-                     *sorted((ROOT / "perfbench").glob("*.py"))])
+    package, others = _sources()
     names, attrs = set(), set()
     for tree in package + others:
         for top in tree.body:
@@ -60,6 +67,70 @@ def unused_public_names() -> set[str]:
     return unused
 
 
+# parameters with a default that no call outside the tests passes, each
+# with the reason it stays; every other one is a constant in disguise
+UNPASSED_ALLOWED = {
+    "main.argv": "the tests' way into the command line; the console "
+                 "script passes nothing",
+}
+
+
+def _options(func: ast.FunctionDef, method: bool):
+    """(position, name) of each parameter of ``func`` that has a default;
+    position is None for keyword-only ones, and a method's own first
+    parameter (``self``, ``cls``) is not counted."""
+    args = func.args
+    positional = [*args.posonlyargs, *args.args]
+    first = len(positional) - len(args.defaults)
+    for i in range(first, len(positional)):
+        yield i - method, positional[i].arg
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield None, arg.arg
+
+
+def unpassed_options() -> set[str]:
+    """``function.parameter`` (``Class.method.parameter`` for methods) for
+    each parameter with a default of a public function or method of
+    ``src/sembox`` that no call in the package, ``demos`` or ``perfbench``
+    passes, by keyword or by position; a call is matched to a definition
+    by the called name, as ``unused_public_names`` matches names, and a
+    starred argument counts as one position."""
+    package, others = _sources()
+    keywords, positions = {}, {}
+    for tree in package + others:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            keywords.setdefault(name, set()).update(
+                k.arg for k in node.keywords if k.arg is not None)
+            positions[name] = max(positions.get(name, 0), len(node.args))
+
+    unpassed = set()
+    for tree in package:
+        for top in tree.body:
+            defs = []
+            if isinstance(top, ast.FunctionDef) and _public(top.name):
+                defs.append((top.name, top, False))
+            elif isinstance(top, ast.ClassDef) and _public(top.name):
+                defs += [(f"{top.name}.{item.name}", item, True)
+                         for item in top.body
+                         if isinstance(item, ast.FunctionDef)
+                         and _public(item.name)]
+            for label, func, method in defs:
+                if func.name in UNUSED_ALLOWED:
+                    continue
+                for pos, arg in _options(func, method):
+                    passed = (arg in keywords.get(func.name, ())
+                              or (pos is not None
+                                  and pos < positions.get(func.name, 0)))
+                    if not passed:
+                        unpassed.add(f"{label}.{arg}")
+    return unpassed
+
+
 def test_every_exported_name_exists():
     missing = [name for name in sembox.__all__ if not hasattr(sembox, name)]
     assert missing == []
@@ -71,6 +142,14 @@ def test_every_public_name_has_a_caller_outside_the_tests():
         "used by tests only: make it a test oracle in tests/oracles.py or remove it"
     assert sorted(set(UNUSED_ALLOWED) - unused) == [], \
         "has a caller now: take it off UNUSED_ALLOWED"
+
+
+def test_every_option_is_passed_outside_the_tests():
+    unpassed = unpassed_options()
+    assert sorted(unpassed - set(UNPASSED_ALLOWED)) == [], \
+        "set by tests only: make it a constant or let the tests build it"
+    assert sorted(set(UNPASSED_ALLOWED) - unpassed) == [], \
+        "passed now: take it off UNPASSED_ALLOWED"
 
 
 # the engine stores and computes CG under every storage scheme: the

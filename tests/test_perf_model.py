@@ -188,20 +188,20 @@ class TestSchemeOrderings:
 
 class TestOrderSweep:
     def test_time_per_step_monotone(self):
-        sweep = order_sweep(RAW_BUBBLE, range(1, 8), MACHINE)
+        sweep = order_sweep(RAW_BUBBLE, range(1, 8))
         for scheme in SCHEMES:
             tps = [r["time_per_step"] for r in sweep[scheme]]
             assert all(a >= b for a, b in zip(tps, tps[1:]))
 
     def test_time_to_solution_minimum_at_p2(self):
-        sweep = order_sweep(RAW_BUBBLE, range(1, 8), MACHINE)
+        sweep = order_sweep(RAW_BUBBLE, range(1, 8))
         for scheme in (SCHEME_CG, SCHEME_HYBRID):
             rows = sweep[scheme]
             tts = [r["time_to_solution"] for r in rows]
             assert rows[int(np.argmin(tts))]["order"] == 2
 
     def test_p3_entry_anchored_to_published_sheet(self):
-        sweep = order_sweep(RAW_BUBBLE, range(2, 5), MACHINE, penalized=True,
+        sweep = order_sweep(RAW_BUBBLE, range(2, 5), penalized=True,
                             calibrations=BUBBLE_CALIBRATIONS)
         for scheme in SCHEMES:
             entry = [r for r in sweep[scheme] if r["order"] == 3][0]
@@ -213,6 +213,12 @@ class TestOrderSweep:
             order_sweep(RAW_BUBBLE, range(0, 4))
         with pytest.raises(ValueError):
             order_sweep(RAW_BUBBLE, range(5, 12))
+
+    def test_a_positional_machine_is_refused(self):
+        # the sweep prices on the default machine; a machine passed where
+        # it used to go must not turn into ``penalized``
+        with pytest.raises(TypeError):
+            order_sweep(RAW_BUBBLE, range(1, 8), MACHINE)
 
     def test_empty_range_is_named(self):
         with pytest.raises(ValueError, match=r"empty order range range\(3, 3\)"):
@@ -231,12 +237,26 @@ class TestCalibration:
         }
         assert set(BUBBLE_CALIBRATIONS) == set(frozen)
         for scheme, want in frozen.items():
-            fit = fit_calibration(RAW_BUBBLE, PRESET_SHEETS["table2"], MACHINE,
-                                  penalized=True, scheme=scheme)
+            fit = fit_calibration(RAW_BUBBLE, PRESET_SHEETS["table2"], scheme)
             assert BUBBLE_CALIBRATIONS[scheme] == fit
             for got, ref in ((fit.flops, want.flops), (fit.read, want.read),
                              (fit.write, want.write)):
                 assert got == pytest.approx(ref, abs=5e-7)
+
+    def test_multipliers_keep_their_bits(self):
+        # float.hex of every fitted multiplier: a refactor of the ledger or
+        # of the fit must not move one of them by an ulp
+        bits = {
+            SCHEME_CG: ("0x1.1cc958df102c7p+0", "0x1.1bcf653a8e2c8p+0",
+                        "0x1.c3b7000e8ad65p+0"),
+            SCHEME_HYBRID: ("0x1.1cc958df102c7p+0", "0x1.01224f82633ccp+0",
+                            "0x1.d1bf0a148fb53p+0"),
+            SCHEME_DG: ("0x1.2653df6bed4a0p+0", "0x1.c315a1af3e4d7p-1",
+                        "0x1.d069120917bfep-1"),
+        }
+        got = {s: (c.flops.hex(), c.read.hex(), c.write.hex())
+               for s, c in BUBBLE_CALIBRATIONS.items()}
+        assert got == bits
 
     def test_calibrated_totals_match_sheet(self):
         for scheme, cal in BUBBLE_CALIBRATIONS.items():
@@ -279,7 +299,7 @@ class TestSimConfig:
     @pytest.mark.parametrize("field,value", [
         ("elements", (0, 0, 0)), ("elements", (float("nan"), 2, 3)),
         ("elements", (2, float("inf"), 3)), ("elements", (2, -1.5, 3)),
-        ("stages", 0), ("n_vars", 0)])
+        ("stages", 0)])
     def test_rejects_impossible_scenarios(self, field, value):
         with pytest.raises(ValueError):
             SimConfig(**{field: value})
