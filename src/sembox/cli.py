@@ -12,6 +12,7 @@ partition and step).
 
 import argparse
 from dataclasses import replace
+import math
 import os
 import sys
 
@@ -248,12 +249,42 @@ def _check_perfmodel_flags(args):
                           f"--elements only, got {', '.join(moved)} without it "
                           "(a flag given at its default value cannot be told "
                           "from no flag)")
+    if args.preset in PRESET_SHEETS and args.penalty != "auto":
+        raise ConfigError(f"--penalty applies to model scenarios only: the "
+                          f"{args.preset} cost sheet is printed as published, "
+                          f"got --penalty {args.penalty}")
+
+
+def _machine_from(args) -> MachineModel:
+    """The modeled machine of the perfmodel flags; a value that is not
+    finite and positive names its flag."""
+    for flag, value in (("--bandwidth", args.bandwidth), ("--peak", args.peak),
+                        ("--cache-line", args.cache_line), ("--l2", args.l2)):
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"{flag} {value!r}: machine parameters must be "
+                              "finite and positive")
+    if int(args.l2) < 1:
+        raise ConfigError(f"--l2 {args.l2!r}: machine parameters must be "
+                          "finite and positive (whole bytes)")
+    return MachineModel(bandwidth=args.bandwidth, peak_flops=args.peak,
+                        cache_line=args.cache_line, l2_bytes=int(args.l2))
+
+
+def _elements_from(text: str) -> tuple:
+    """The three element counts of ``--elements nx,ny,nz``."""
+    values = text.split(",")
+    if len(values) != 3:
+        raise ConfigError(f"--elements {text!r}: expected nx,ny,nz, got "
+                          f"{len(values)} values")
+    try:
+        return tuple(float(v) for v in values)
+    except ValueError as exc:
+        raise ConfigError(f"--elements {text!r}: {exc}") from None
 
 
 def cmd_perfmodel(args) -> int:
     _check_perfmodel_flags(args)
-    machine = MachineModel(bandwidth=args.bandwidth, peak_flops=args.peak,
-                           cache_line=args.cache_line, l2_bytes=int(args.l2))
+    machine = _machine_from(args)
     if args.preset in PRESET_SHEETS:
         results = sheet_table(PRESET_SHEETS[args.preset], machine)
         title = PRESET_SHEETS[args.preset].description
@@ -266,8 +297,8 @@ def cmd_perfmodel(args) -> int:
         elif args.preset == "planetary":
             config = PLANETARY_CONFIG
         elif args.elements:
-            nx, ny, nz = (float(v) for v in args.elements.split(","))
-            config = SimConfig(order=args.order, elements=(nx, ny, nz),
+            config = SimConfig(order=args.order,
+                               elements=_elements_from(args.elements),
                                machines=args.machines, timesteps=args.timesteps)
         else:
             raise ConfigError("perfmodel needs --preset, --scenario or --elements")

@@ -14,6 +14,15 @@ result into the (E, n, n, n, 5) contributions that the workers in
 ``harness`` assemble (``storage.PartitionLayout.exchange``, the engine's
 one assembly).  The perturbation pressure is evaluated once per unique
 point and gathered (:func:`element_pressure`); the kernel evaluates none.
+
+Every phase of the step is memory-bound, so the operators hold only
+live data: the kernel forms the flux one direction at a time in a
+(5, M) buffer of its :class:`RhsWorkspace` and writes the contributions
+into that buffer once the last direction is spent; the filter writes
+them into its own gather once the third contraction has read it.
+Neither allocates a contributions array, and the kernel's result is
+valid only until the next call on the same workspace (``exchange``
+copies what it keeps).
 """
 
 from dataclasses import dataclass
@@ -65,40 +74,45 @@ def pressure(rho, theta_density, const: GasConstants):
     return const.p0 * (const.R * theta_density / const.p0) ** const.gamma
 
 
-def flux(q, p_prime, jg, F, U):
-    """Contravariant flux of every node, direction-major, into ``F``.
+def flux(q, p_prime, jg_a, F, U):
+    """Contravariant flux along one reference direction xi_a, into ``F``.
 
     ``q`` is the conserved state (5, M), ``p_prime`` the perturbation
-    pressure (M,) and ``jg`` the metric cofactor (3, 3, M),
-    jg[a, d] = J d(xi_a)/d(x_d).  With the contravariant velocity
-    U_a = sum_d jg[a, d] u_d, the flux along xi_a is
-    Fc[a] = q U_a plus jg[a, c] P' on the momentum rows 1 + c.
-    ``F`` is (3, 5, M); ``U`` is a (3, M) scratch buffer.
+    pressure (M,) and ``jg_a`` the metric cofactor row (3, M) of xi_a,
+    jg_a[d] = J d(xi_a)/d(x_d).  With the contravariant velocity
+    U_a = sum_d jg_a[d] u_d, the flux is F = q U_a plus jg_a[c] P' on
+    the momentum rows 1 + c.  ``F`` is (5, M); ``U`` is an (M,) scratch
+    buffer, free again on return.
     """
-    np.multiply(jg[:, 0], q[1], out=U)
-    U += jg[:, 1] * q[2]
-    U += jg[:, 2] * q[3]
+    np.multiply(jg_a[0], q[1], out=U)
+    U += jg_a[1] * q[2]
+    U += jg_a[2] * q[3]
     U /= q[0]
-    np.multiply(U[:, None, :], q[None, :, :], out=F)
-    for a in range(3):
-        np.multiply(jg[a], p_prime, out=U)      # U is spent: reuse it
-        F[a, 1:4] += U
+    np.multiply(U, q, out=F)
+    for c in range(3):
+        np.multiply(jg_a[c], p_prime, out=U)    # U is spent: reuse it
+        F[1 + c] += U
     return F
 
 
 @dataclass
 class RhsWorkspace:
     """Reusable structure-of-arrays buffers of the right-hand-side kernel
-    for a batch of M = E n^3 element nodes."""
+    for a batch of M = E n^3 element nodes: 11 M doubles.
 
-    U: np.ndarray        # (3, M) contravariant velocity
-    flux: np.ndarray     # (3, 5, M) contravariant flux, direction-major
+    The kernel forms one direction's flux at a time and returns its
+    contributions in ``flux``, so a result lives only until the next
+    call on the same workspace.
+    """
+
+    U: np.ndarray        # (M,) contravariant velocity, then a scratch row
+    flux: np.ndarray     # (5, M) flux along one direction, then the result
     div: np.ndarray      # (5, M) reference-space divergence
 
     @classmethod
     def create(cls, n_elements: int, n: int) -> "RhsWorkspace":
         m = n_elements * n ** 3
-        return cls(U=np.empty((3, m)), flux=np.empty((3, N_VARS, m)),
+        return cls(U=np.empty(m), flux=np.empty((N_VARS, m)),
                    div=np.empty((N_VARS, m)))
 
 
@@ -130,12 +144,12 @@ def rhs_element_contributions(state_cg: np.ndarray, gids: np.ndarray,
                               ws: RhsWorkspace) -> np.ndarray:
     """J*w-weighted RHS contribution of every element at ``gids`` (E, n^3).
 
-    Contravariant (conservative) flux form: with Fc[a] the flux along
+    Contravariant (conservative) flux form: with F_a the flux along
     xi_a (see :func:`flux`), the element divergence is
-    J div F = D_xi Fc[0] + D_eta Fc[1] + D_zeta Fc[2], fifteen
-    one-direction contractions on structure-of-arrays (vars, nodes) data,
-    and the contribution is -w (J div F) - J w S with the gravity source
-    S on the vertical momentum.  On affine elements this equals the
+    J div F = D_xi F_0 + D_eta F_1 + D_zeta F_2, fifteen one-direction
+    contractions on structure-of-arrays (vars, nodes) data, and the
+    contribution is -w (J div F) - J w S with the gravity source S on
+    the vertical momentum.  On affine elements this equals the
     chain-rule form to round-off.  On trilinear mapped elements it keeps
     a uniform flow uniform only where the discrete metric identities
     hold, which needs p >= 2 (at p = 1 the cofactor is not differentiated
@@ -146,7 +160,9 @@ def rhs_element_contributions(state_cg: np.ndarray, gids: np.ndarray,
     the element nodes, both (E, n^3) (:func:`element_pressure`,
     ``ReferenceAtmosphere.cg[:, 0][gids]``); ``ws`` holds the kernel's
     buffers for E elements (:meth:`RhsWorkspace.create`).  The kernel
-    evaluates no pressure.  Returns a C-contiguous (E, n, n, n, 5).
+    evaluates no pressure.  Returns a C-contiguous (E, n, n, n, 5) view
+    of ``ws.flux``: valid until the next call on ``ws``, which
+    overwrites it.
     """
     n = ref.n_nodes
     E = gids.shape[0]
@@ -155,24 +171,27 @@ def rhs_element_contributions(state_cg: np.ndarray, gids: np.ndarray,
     if not np.all(np.isfinite(q)):
         raise DivergedStateError(
             _first_bad_element(q.reshape(N_VARS, E, -1), axis=1))
-    F = flux(q, p_prime_el.reshape(m), metrics.jg.reshape(3, 3, m),
-             ws.flux, ws.U)
-    # x runs as GEMMs against D^T in row chunks small enough that OpenBLAS
-    # starts no pool thread (see contract); each spent flux block then
-    # takes the next direction's result
+    p_prime = p_prime_el.reshape(m)
+    jg = metrics.jg.reshape(3, 3, m)
     D = ref.diff_matrix
-    contract(D, F[0].reshape(-1, n, n, n), ws.div, 2)
-    contract(D, F[1].reshape(-1, n, n, n), F[0], 1)
-    ws.div += F[0]
-    contract(D, F[2].reshape(-1, n, n, n), F[1], 0)
-    ws.div += F[1]
-
-    contrib = _weight_into(np.empty((E, n, n, n, N_VARS)), ws.div,
-                           -ref.weights_3d.reshape(-1))
-    flat = contrib.reshape(E, n ** 3, N_VARS)
+    # one direction's flux at a time: x contracts into div as GEMMs
+    # against D^T in row chunks small enough that OpenBLAS starts no pool
+    # thread (see contract); y and z contract one variable at a time into
+    # U, free once the flux is formed, and add to div in the order x+y+z
+    F = flux(q, p_prime, jg[0], ws.flux, ws.U)
+    contract(D, F.reshape(-1, n, n, n), ws.div, 2)
+    for a in (1, 2):
+        F = flux(q, p_prime, jg[a], ws.flux, ws.U)
+        for v in range(N_VARS):
+            contract(D, F[v].reshape(-1, n, n, n), ws.U, 2 - a)
+            ws.div[v] += ws.U
     # source: gravity acting on the density perturbation only
-    flat[..., 3] -= (const.gravity * metrics.jw.reshape(E, -1)
-                     * (q[0].reshape(E, -1) - rho_bar_el))
+    source = (const.gravity * metrics.jw.reshape(E, -1)
+              * (q[0].reshape(E, -1) - rho_bar_el))
+    del q           # the gather is freed before the contributions come
+    contrib = _weight_into(ws.flux.reshape(E, n, n, n, N_VARS), ws.div,
+                           -ref.weights_3d.reshape(-1))
+    contrib.reshape(E, n ** 3, N_VARS)[..., 3] -= source
     if not np.all(np.isfinite(contrib)):
         raise DivergedStateError(_first_bad_element(contrib), "right-hand side")
     return contrib
@@ -220,11 +239,11 @@ def filter_contributions(state_cg: np.ndarray, gids: np.ndarray,
     if ref.filter_mu == 0.0:
         return None
     E, n = gids.shape[0], ref.n_nodes
-    # the gather is freed before the contributions come: with three batch
-    # arrays live, glibc gave back its heap top and faulted it in each call
-    filtered = filter_element(
-        element_soa(state_cg, gids).reshape(-1, n, n, n), ref)
-    return _weight_into(np.empty((E, n, n, n, N_VARS)), filtered,
+    # the gather is spent once the third contraction has read it, so the
+    # contributions go into it: two batch arrays live, not three
+    q = element_soa(state_cg, gids).reshape(-1, n, n, n)
+    filtered = filter_element(q, ref)
+    return _weight_into(q.reshape(E, n, n, n, N_VARS), filtered,
                         jw.reshape(E, -1))
 
 

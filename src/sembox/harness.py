@@ -276,15 +276,16 @@ def strong_scaling_efficiency(t_base: float, n_base: int, t: float, n: int) -> f
 
 class _Worker:
     """One partition's full time loop on partition-local arrays;
-    communicates only through the mailboxes.  Diagnostic partials and
+    communicates only through the mailboxes.  It takes its rows of the
+    initial state ``state0`` at construction.  Diagnostic partials and
     snapshot pieces of the points the partition owns collect in
     ``diags`` and ``snapshots``, read by the driver after the join."""
 
     def __init__(self, part_id: int, layout: PartitionLayout,
                  disc: Discretization, const: GasConstants,
-                 ra: ReferenceAtmosphere, config: BubbleConfig,
-                 mail: Mailboxes, dt: float, n_steps: int,
-                 snapshot_every: int):
+                 ra: ReferenceAtmosphere, state0: np.ndarray,
+                 config: BubbleConfig, mail: Mailboxes, dt: float,
+                 n_steps: int, snapshot_every: int):
         self.t = part_id
         self.layout = layout
         self.ref = disc.ref
@@ -296,21 +297,25 @@ class _Worker:
         self.snapshot_every = snapshot_every
         self.plan = plan = layout.plans[part_id]
         self.num = plan.numbering
-        if self.num is not disc.numbering:     # T=1 copies no background
-            own = plan.own_gids
-            ra = ReferenceAtmosphere(ra.theta0, ra.cg[own])
-        self.ra = ra
+        self.whole = self.num is disc.numbering
+        self.ra = ReferenceAtmosphere(ra.theta0, self._local(ra.cg))
         self.gids = self.num.global_ids
         self.metrics_view = _metric_slice(
             disc.metrics, slice(plan.elem_start, plan.elem_stop))
         self.ws = RhsWorkspace.create(len(self.gids), disc.ref.n_nodes)
-        self.rho_bar_el = ra.cg[:, 0][self.gids]
+        self.rho_bar_el = self.ra.cg[:, 0][self.gids]
         self.diags = []
         self.snapshots = []
         self.phase_seconds = {ph: 0.0 for ph in PHASES}
         self.timing = False
         self.loop_seconds = 0.0
         self.step = 0  # the step in progress; final_state: the last completed
+        self.final_state = self._local(state0)
+
+    def _local(self, rows):
+        """A whole-mesh array's rows at the partition's points: the array
+        itself when the partition is the whole mesh (T = 1 copies none)."""
+        return rows if self.whole else rows[self.plan.own_gids]
 
     def _exchange(self, contrib):
         t0 = time.perf_counter()
@@ -344,9 +349,23 @@ class _Worker:
 
     # -- the loop ------------------------------------------------------------
 
-    def run(self, state0):
-        scheme = DEFAULT_SCHEME
-        self.final_state = state = state0[self.plan.own_gids]
+    def _stage(self, stages, i):
+        """Stage i + 1 of the scheme from ``stages``; its RHS and the
+        combination's terms die on return, before the next kernel call."""
+        k, bt = DEFAULT_SCHEME.beta[i]
+        f = self._rhs(stages[k])
+        t0 = time.perf_counter()
+        new = None
+        for j, a in DEFAULT_SCHEME.alpha[i]:
+            term = a * stages[j]
+            new = term if new is None else new + term
+        new += (self.dt * bt) * f
+        apply_boundary(new, self.num)
+        self._time("update", t0)
+        return new
+
+    def run(self):
+        state = self.final_state
         owned = self.plan.owned
         apply_boundary(state, self.num)
         self.diags.append(_diag_partials(state, self.ra, self.num, owned))
@@ -354,20 +373,15 @@ class _Worker:
             self.step = step
             self.timing = step > self.config.warmup_steps
             step_t0 = time.perf_counter()
+            # a stage is dropped once no later stage reads it, so only the
+            # newest goes through the filter (final_state keeps the last
+            # completed step)
             stages = [state]
-            for i in range(scheme.stages):
-                k, bt = scheme.beta[i]
-                f = self._rhs(stages[k])
-                t0 = time.perf_counter()
-                new = None
-                for j, a in scheme.alpha[i]:
-                    term = a * stages[j]
-                    new = term if new is None else new + term
-                new += (self.dt * bt) * f
-                apply_boundary(new, self.num)
-                self._time("update", t0)
-                stages.append(new)
-            self.final_state = state = self._filter(stages[-1])
+            for i, spent in enumerate(DEFAULT_SCHEME.released):
+                stages.append(self._stage(stages, i))
+                for j in spent:
+                    stages[j] = None
+            self.final_state = state = self._filter(stages.pop())
             if self.timing:
                 self.loop_seconds += time.perf_counter() - step_t0
             self.diags.append(_diag_partials(state, self.ra, self.num, owned))
@@ -433,12 +447,13 @@ def run_bubble(config: BubbleConfig, n_partitions: int = 1,
     layout = PartitionLayout(disc.mesh, disc.numbering, parts)
     mail = Mailboxes(layout)
     snapshot_every = config.snapshot_every if out_dir is not None else 0
-    workers = [_Worker(part.part_id, layout, disc, const, ra, config, mail,
-                       dt, n_steps, snapshot_every) for part in parts]
+    workers = [_Worker(part.part_id, layout, disc, const, ra, state0, config,
+                       mail, dt, n_steps, snapshot_every) for part in parts]
+    del state0      # the workers hold their rows: none is kept past step 1
 
     wall0 = time.perf_counter()
     setup = wall0 - setup0
-    _, errors = mail.run(lambda t: workers[t].run(state0))
+    _, errors = mail.run(lambda t: workers[t].run())
     wall = time.perf_counter() - wall0
     stopped = [(w, exc) for w, exc in zip(workers, errors) if exc is not None]
     for w, exc in stopped:   # physics failures end in the report, faults raise
@@ -456,7 +471,7 @@ def run_bubble(config: BubbleConfig, n_partitions: int = 1,
              for step in range(min(len(w.diags) for w in workers))]
 
     owned = [w.plan.own_gids[w.plan.owned] for w in workers]
-    final = np.empty_like(state0)
+    final = np.empty((disc.numbering.n_unique, N_VARS))
     for w, gids in zip(workers, owned):
         final[gids] = w.final_state[w.plan.owned]
 
@@ -487,7 +502,7 @@ def run_bubble(config: BubbleConfig, n_partitions: int = 1,
         snaps: dict[int, np.ndarray] = {}
         for w, gids in zip(workers, owned):
             for step, piece in w.snapshots:
-                snaps.setdefault(step, np.zeros_like(state0))[gids] = piece
+                snaps.setdefault(step, np.zeros_like(final))[gids] = piece
         for step, snap in sorted(snaps.items()):
             write_snapshot(os.path.join(out_dir, f"state_{step:06d}.bin"),
                            snap, config.order)

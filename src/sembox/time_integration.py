@@ -11,8 +11,10 @@ The step driver owns the synchronization pattern of the whole solver:
 right-hand side (with its exchange) -> state update -> wall projection,
 five times, then the filter (with its own exchange).  Every
 configuration here is fully explicit.  The partition workers in
-``harness`` run the same stage loop with their own phase timing; a test
-pins them bit for bit to this stepper over the tests' serial operators.
+``harness`` run the same stage loop with their own phase timing, and drop
+each stage once no later stage reads it (:attr:`RkScheme.released`); a
+test pins them bit for bit to this stepper over the tests' serial
+operators.
 """
 
 from dataclasses import dataclass
@@ -65,6 +67,19 @@ class RkScheme:
         if worst > 1e-13:
             raise SchemeOrderError(f"order-condition residual {worst:.2e}")
         return scheme
+
+    @property
+    def released(self) -> tuple:
+        """``released[i]``: the stages that no later stage reads once
+        stage i + 1 is formed, so a stepper can drop them there.  Stage j
+        is read by every ``alpha`` and ``beta`` that names it; the last
+        stage, the step's result, is never listed."""
+        last = list(range(-1, self.stages - 1))  # unread: dropped at once
+        for i in range(self.stages):
+            for j in (*(j for j, _ in self.alpha[i]), self.beta[i][0]):
+                last[j] = i
+        return tuple(tuple(j for j, at in enumerate(last) if at == i)
+                     for i in range(self.stages))
 
     def butcher(self):
         """Equivalent Butcher arrays (A, b, c)."""

@@ -12,6 +12,13 @@ Without a given perturbation pressure it evaluates the pressure per
 duplicated element node, as DG storage would; the engine evaluates it
 once per unique point under every scheme.
 
+Direction-major kernel: the engine forms the contravariant flux one
+direction at a time in a (5, M) buffer and returns its contributions in
+that buffer.  ``direction_major_contributions`` keeps the form it
+replaced: the flux along all three directions in one (3, 5, M) array,
+each spent direction's block taking the next contraction, and a fresh
+contributions array; the engine must give the same bytes.
+
 Serial operators: the engine assembles only through
 ``PartitionLayout.exchange`` (serial is its one-partition case).  The
 serial right-hand side, filter and direct stiffness summation here run
@@ -41,8 +48,8 @@ import dataclasses
 
 import numpy as np
 
-from sembox.dynamics import (RhsWorkspace, element_pressure,
-                             filter_contributions, pressure,
+from sembox.dynamics import (RhsWorkspace, _weight_into, element_pressure,
+                             element_soa, filter_contributions, pressure,
                              rhs_element_contributions as engine_contributions)
 from sembox.mesh import MetricTerms, build_box_mesh
 from sembox.perf_model import SCHEME_CG, SCHEME_DG, SCHEME_LABELS
@@ -137,6 +144,39 @@ def rhs_element_contributions(state_el, ra_el, metrics, ref, const,
     div = flux_divergence(flux(state, p_prime), metrics, ref)
     div[..., 3] += (state[..., 0] - ra[..., 0]) * const.gravity
     return div * -metrics.jw[..., None]
+
+
+def direction_major_contributions(state_cg, gids, p_prime_el, rho_bar_el,
+                                  metrics, ref, const) -> np.ndarray:
+    """The contravariant kernel on a direction-major (3, 5, M) flux:
+    U_a for all three directions at once, F[a] = U_a q plus jg[a, c] P'
+    on the momentum rows, x contracted into ``div``, y into the spent x
+    block and z into the spent y block, each added to ``div``.  Returns
+    a new (E, n, n, n, 5) array."""
+    n = ref.n_nodes
+    E, m = gids.shape[0], gids.size
+    q = element_soa(state_cg, gids).reshape(N_VARS, m)
+    jg = metrics.jg.reshape(3, 3, m)
+    U = np.multiply(jg[:, 0], q[1])
+    U += jg[:, 1] * q[2]
+    U += jg[:, 2] * q[3]
+    U /= q[0]
+    F = U[:, None, :] * q[None, :, :]
+    for a in range(3):
+        F[a, 1:4] += jg[a] * p_prime_el.reshape(m)
+    D = ref.diff_matrix
+    div = np.empty((N_VARS, m))
+    contract(D, F[0].reshape(-1, n, n, n), div, 2)
+    contract(D, F[1].reshape(-1, n, n, n), F[0], 1)
+    div += F[0]
+    contract(D, F[2].reshape(-1, n, n, n), F[1], 0)
+    div += F[1]
+    contrib = _weight_into(np.empty((E, n, n, n, N_VARS)), div,
+                           -ref.weights_3d.reshape(-1))
+    contrib.reshape(E, n ** 3, N_VARS)[..., 3] -= (
+        const.gravity * metrics.jw.reshape(E, -1)
+        * (q[0].reshape(E, -1) - rho_bar_el))
+    return contrib
 
 
 def accumulate_by_color(contrib, numbering) -> np.ndarray:

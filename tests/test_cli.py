@@ -91,13 +91,38 @@ class TestPerfmodelCommand:
 
     @pytest.mark.parametrize("flag,value", [("--bandwidth", "nan"),
                                             ("--bandwidth", "inf"),
-                                            ("--peak", "nan")])
+                                            ("--peak", "nan"),
+                                            ("--peak", "0"),
+                                            ("--cache-line", "0"),
+                                            ("--l2", "nan"), ("--l2", "inf"),
+                                            ("--l2", "-1"), ("--l2", "0.5")])
     def test_non_finite_machine_exits_2(self, capsys, flag, value):
         code, out, err = run_cli(capsys, "perfmodel", "--preset", "bubble",
                                  flag, value)
         assert code == EXIT_CONFIG
         assert "machine parameters must be finite and positive" in err
+        assert err.startswith(f"error: {flag} ")
         assert "analytic ledger" not in out
+
+    @pytest.mark.parametrize("elements,cause", [
+        ("8,8", "expected nx,ny,nz, got 2 values"),
+        ("8,8,8,8", "expected nx,ny,nz, got 4 values"),
+        ("8,x,8", "could not convert string to float: 'x'")])
+    def test_malformed_elements_name_the_flag(self, capsys, elements, cause):
+        code, out, err = run_cli(capsys, "perfmodel", "--elements", elements)
+        assert code == EXIT_CONFIG
+        assert err == f"error: --elements {elements!r}: {cause}\n"
+        assert out == ""
+
+    @pytest.mark.parametrize("preset", ["table1", "table2", "table3"])
+    @pytest.mark.parametrize("penalty", ["on", "off"])
+    def test_penalty_on_a_cost_sheet_exits_2(self, capsys, preset, penalty):
+        # the published sheets take no repricing
+        code, out, err = run_cli(capsys, "perfmodel", "--preset", preset,
+                                 "--penalty", penalty)
+        assert code == EXIT_CONFIG
+        assert f"got --penalty {penalty}" in err
+        assert out == ""
 
     @pytest.mark.parametrize("sources", [
         ("--preset", "table1", "--scenario", "S"),

@@ -293,6 +293,58 @@ class TestContravariantKernel:
         assert np.abs(rhs).max() < 1e-12 * scale
 
 
+def perturbed_case(mapped, order, seed):
+    """A discretization, a perturbed state and its background: the
+    bubble on a 2x2x3 box, or a uniform background on the mapped mesh."""
+    rng = np.random.default_rng(seed)
+    if mapped:
+        disc = mapped_discretization(order)
+        ra = uniform_atmosphere(disc)
+        state = np.tile([1.1, 0.0, 0.0, 0.0, 330.0], (disc.numbering.n_unique, 1))
+    else:
+        cfg = BubbleConfig(nx=2, ny=2, layers=3, order=order,
+                           extents=(400.0, 600.0, 900.0),
+                           center=(200.0, 300.0, 400.0), radius=150.0)
+        disc = build_discretization(cfg)
+        state, ra = init_bubble(cfg, disc, CONST)
+    state[:, 1:4] += 0.5 * rng.standard_normal((state.shape[0], 3))
+    state[:, 4] *= 1.0 + 0.01 * rng.standard_normal(state.shape[0])
+    return disc, state, ra
+
+
+class TestOneDirectionKernel:
+    """The one-direction kernel against the direction-major oracle, byte
+    for byte; its result lives in the workspace."""
+
+    @staticmethod
+    def both(disc, state, ra, ws):
+        gids = disc.numbering.global_ids
+        args = (state, gids, element_pressure(state, gids, ra, CONST),
+                ra.cg[:, 0][gids], disc.metrics, disc.ref, CONST)
+        return (rhs_element_contributions(*args, ws),
+                oracles.direction_major_contributions(*args))
+
+    @pytest.mark.parametrize("mapped", [False, True])
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 6])
+    def test_equals_the_direction_major_bytes(self, mapped, order):
+        disc, state, ra = perturbed_case(mapped, order, seed=order)
+        ws = RhsWorkspace.create(disc.mesh.n_elements, disc.ref.n_nodes)
+        got, want = self.both(disc, state, ra, ws)
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
+    def test_next_call_on_the_workspace_overwrites_the_result(self):
+        disc, state, ra = perturbed_case(False, 3, seed=5)
+        ws = RhsWorkspace.create(disc.mesh.n_elements, disc.ref.n_nodes)
+        first, want_first = self.both(disc, state, ra, ws)
+        assert first.tobytes() == want_first.tobytes()
+        _, other, _ = perturbed_case(False, 3, seed=6)
+        second, want_second = self.both(disc, other, ra, ws)
+        assert second.tobytes() == want_second.tobytes()
+        assert np.shares_memory(first, ws.flux)
+        assert first.tobytes() == second.tobytes() != want_first.tobytes()
+
+
 class TestFilterApplication:
     @pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 6])
     def test_contributions_equal_the_aos_oracle_bytes(self, order):

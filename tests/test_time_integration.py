@@ -52,6 +52,23 @@ class TestOrderConditions:
         assert max(abs(v) for v in res.values()) > 1e-4
 
 
+class TestReleasedStages:
+    def test_default_scheme_drops_stage_3_then_all_but_the_last(self):
+        assert DEFAULT_SCHEME.released == ((), (), (), (3,), (0, 1, 2, 4))
+
+    @pytest.mark.parametrize("scheme", [DEFAULT_SCHEME, forward_euler_scheme()])
+    def test_no_later_stage_reads_a_released_one(self, scheme):
+        released = scheme.released
+        for i, spent in enumerate(released):
+            for later in range(i + 1, scheme.stages):
+                read = {j for j, _ in scheme.alpha[later]}
+                read.add(scheme.beta[later][0])
+                assert not read & set(spent)
+        # every stage but the result is released exactly once
+        assert sorted(j for spent in released for j in spent) == list(
+            range(scheme.stages))
+
+
 class TestRkStep:
     def test_zero_rhs_is_identity(self):
         y = np.array([1.0, -2.0, 3.0])
