@@ -14,6 +14,10 @@ result into the (E, n, n, n, 5) contributions that the workers in
 ``harness`` assemble (``storage.PartitionLayout.exchange``, the engine's
 one assembly).  The perturbation pressure is evaluated once per unique
 point and gathered (:func:`element_pressure`); the kernel evaluates none.
+Both take only the geometry they read, the metric cofactors ``jg`` and
+the weighted Jacobian ``jw`` (the filter ``jw`` alone), not a whole
+:class:`~sembox.mesh.MetricTerms`, so a worker holds its partition's
+slices of those two and no node coordinates or Jacobian.
 
 Every phase of the step is memory-bound, so the operators hold only
 live data: the kernel forms the flux one direction at a time in a
@@ -139,8 +143,8 @@ def _first_bad_element(arr: np.ndarray, axis: int = 0) -> int:
 
 def rhs_element_contributions(state_cg: np.ndarray, gids: np.ndarray,
                               p_prime_el: np.ndarray, rho_bar_el: np.ndarray,
-                              metrics: MetricTerms, ref: ReferenceElement,
-                              const: GasConstants,
+                              jg: np.ndarray, jw: np.ndarray,
+                              ref: ReferenceElement, const: GasConstants,
                               ws: RhsWorkspace) -> np.ndarray:
     """J*w-weighted RHS contribution of every element at ``gids`` (E, n^3).
 
@@ -158,9 +162,12 @@ def rhs_element_contributions(state_cg: np.ndarray, gids: np.ndarray,
     ``state_cg`` holds the points ``gids`` indexes; ``p_prime_el`` is the
     perturbation pressure and ``rho_bar_el`` the background density at
     the element nodes, both (E, n^3) (:func:`element_pressure`,
-    ``ReferenceAtmosphere.cg[:, 0][gids]``); ``ws`` holds the kernel's
-    buffers for E elements (:meth:`RhsWorkspace.create`).  The kernel
-    evaluates no pressure.  Returns a C-contiguous (E, n, n, n, 5) view
+    ``ReferenceAtmosphere.cg[:, 0][gids]``); ``jg`` (3, 3, E, n, n, n)
+    and ``jw`` (E, n, n, n) are the elements' metric cofactors and
+    weighted Jacobian (:class:`~sembox.mesh.MetricTerms`), the only
+    geometry the kernel reads; ``ws`` holds the kernel's buffers for E
+    elements (:meth:`RhsWorkspace.create`).  The kernel evaluates no
+    pressure.  Returns a C-contiguous (E, n, n, n, 5) view
     of ``ws.flux``: valid until the next call on ``ws``, which
     overwrites it.
     """
@@ -172,7 +179,7 @@ def rhs_element_contributions(state_cg: np.ndarray, gids: np.ndarray,
         raise DivergedStateError(
             _first_bad_element(q.reshape(N_VARS, E, -1), axis=1))
     p_prime = p_prime_el.reshape(m)
-    jg = metrics.jg.reshape(3, 3, m)
+    jg = jg.reshape(3, 3, m)
     D = ref.diff_matrix
     # one direction's flux at a time: x contracts into div as GEMMs
     # against D^T in row chunks small enough that OpenBLAS starts no pool
@@ -186,7 +193,7 @@ def rhs_element_contributions(state_cg: np.ndarray, gids: np.ndarray,
             contract(D, F[v].reshape(-1, n, n, n), ws.U, 2 - a)
             ws.div[v] += ws.U
     # source: gravity acting on the density perturbation only
-    source = (const.gravity * metrics.jw.reshape(E, -1)
+    source = (const.gravity * jw.reshape(E, -1)
               * (q[0].reshape(E, -1) - rho_bar_el))
     del q           # the gather is freed before the contributions come
     contrib = _weight_into(ws.flux.reshape(E, n, n, n, N_VARS), ws.div,

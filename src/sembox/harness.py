@@ -3,13 +3,19 @@
 The driver owns the end-to-end pattern: build the discretization, freeze
 the Courant-limited timestep, then march stages of
 right-hand-side -> exchange/assemble -> update -> wall projection, with
-the low-pass filter (and its own exchange) closing each step.  Every
-partition runs in its own worker, started by ``storage.Mailboxes.run``
-(partition 0 on the calling thread, as for ``halo_exchange``), and the
-only cross-worker data are the halo messages, which travel through those
-mailboxes.  A worker holds its state, stages and diagnostics only at the
-points its partition touches, in the partition's local numbering, and
-keeps only its phase timing and stage loop.  Its ``_rhs`` and ``_filter``
+the low-pass filter (and its own exchange) closing each step.  Set-up is
+one function (``_set_up``) that returns only what the loop and the
+outputs read, so the whole mesh's geometry, its initial state and, on
+more than one worker, its numbering are unreferenced before step 1.
+Every partition runs in its own worker, started by
+``storage.Mailboxes.run`` (partition 0 on the calling thread, as for
+``halo_exchange``), and the only cross-worker data are the halo
+messages, which travel through those mailboxes.  A worker holds its
+state, stages and diagnostics only at the points its partition touches,
+in the partition's local numbering, its elements' slices of the metric
+terms the kernels read (``jg`` and ``jw``), and its phase timing and
+stage loop; a stage combines its terms in place, through one scratch
+array.  Its ``_rhs`` and ``_filter``
 (``dynamics`` kernels, then ``PartitionLayout.exchange``) are the
 engine's only RHS and filter; one worker is the serial run, and any
 worker count gives ``rk_step`` over a serial assembly bit for bit.  A
@@ -30,8 +36,8 @@ import time
 import numpy as np
 
 from .reference_element import ReferenceElement
-from .mesh import (MetricTerms, build_box_mesh, compute_metrics,
-                   build_cg_numbering, partition_columns)
+from .mesh import (build_box_mesh, compute_metrics, build_cg_numbering,
+                   partition_columns)
 from .storage import (N_VARS, Mailboxes, NeighborStopped, PartitionLayout,
                       ReferenceAtmosphere, write_snapshot)
 from .dynamics import (Discretization, GasConstants, RhsWorkspace,
@@ -202,9 +208,10 @@ class RunReport:
 
     ``total_seconds`` covers the timed step loop (warm-up excluded) on the
     slowest worker; ``wall_seconds`` the partitioned run, from starting
-    the workers to their join, warm-up included; ``setup_seconds`` what
-    comes before it, from building the discretization to constructing
-    the workers.
+    the workers to their join, warm-up included; ``setup_seconds`` the
+    one set-up call before it, from building the discretization to
+    constructing the workers, after which nothing of the set-up but the
+    workers' own pieces is held.
     """
 
     n_partitions: int
@@ -300,8 +307,11 @@ class _Worker:
         self.whole = self.num is disc.numbering
         self.ra = ReferenceAtmosphere(ra.theta0, self._local(ra.cg))
         self.gids = self.num.global_ids
-        self.metrics_view = _metric_slice(
-            disc.metrics, slice(plan.elem_start, plan.elem_stop))
+        # the kernels' geometry, as views of the partition's elements;
+        # nothing else of the metric terms is held past set-up
+        elems = slice(plan.elem_start, plan.elem_stop)
+        self.jg = disc.metrics.jg[:, :, elems]
+        self.jw = disc.metrics.jw[elems]
         self.ws = RhsWorkspace.create(len(self.gids), disc.ref.n_nodes)
         self.rho_bar_el = self.ra.cg[:, 0][self.gids]
         self.diags = []
@@ -334,14 +344,13 @@ class _Worker:
         contrib = rhs_element_contributions(
             state, self.gids,
             element_pressure(state, self.gids, self.ra, self.const),
-            self.rho_bar_el, self.metrics_view, self.ref, self.const, self.ws)
+            self.rho_bar_el, self.jg, self.jw, self.ref, self.const, self.ws)
         self._time("create_rhs", t0)
         return self._exchange(contrib)
 
     def _filter(self, state):
         t0 = time.perf_counter()
-        contrib = filter_contributions(state, self.gids, self.metrics_view.jw,
-                                       self.ref)
+        contrib = filter_contributions(state, self.gids, self.jw, self.ref)
         self._time("filter", t0)
         if contrib is None:
             return state
@@ -350,16 +359,22 @@ class _Worker:
     # -- the loop ------------------------------------------------------------
 
     def _stage(self, stages, i):
-        """Stage i + 1 of the scheme from ``stages``; its RHS and the
-        combination's terms die on return, before the next kernel call."""
+        """Stage i + 1 of the scheme from ``stages``, combined in place:
+        each further weighted stage goes through one scratch array, and
+        the RHS (the exchange's own fresh array) is scaled where it lies.
+        These are ``rk_step``'s operations in its order, so the bits are
+        its bits; the RHS and the scratch die on return, before the next
+        kernel call."""
         k, bt = DEFAULT_SCHEME.beta[i]
         f = self._rhs(stages[k])
         t0 = time.perf_counter()
-        new = None
-        for j, a in DEFAULT_SCHEME.alpha[i]:
-            term = a * stages[j]
-            new = term if new is None else new + term
-        new += (self.dt * bt) * f
+        (j0, a0), *rest = DEFAULT_SCHEME.alpha[i]
+        new = a0 * stages[j0]
+        term = np.empty_like(new) if rest else None
+        for j, a in rest:
+            new += np.multiply(a, stages[j], out=term)
+        f *= self.dt * bt
+        new += f
         apply_boundary(new, self.num)
         self._time("update", t0)
         return new
@@ -401,11 +416,6 @@ def worker_fault_note(exc: BaseException) -> str | None:
                  if _FAULT_NOTE_RE.fullmatch(note)), None)
 
 
-def _metric_slice(metrics, sl):
-    return MetricTerms(coords=metrics.coords[sl], jacobian=metrics.jacobian[sl],
-                       jg=metrics.jg[:, :, sl], jw=metrics.jw[sl])
-
-
 def _ledger_flops(config: BubbleConfig, timed_steps: int) -> float:
     """Ledger flop estimate for the timed steps, priced under the scheme."""
     if timed_steps <= 0:
@@ -420,20 +430,18 @@ def _ledger_flops(config: BubbleConfig, timed_steps: int) -> float:
 # Run driver
 # ---------------------------------------------------------------------------
 
-def run_bubble(config: BubbleConfig, n_partitions: int = 1,
-               out_dir: str | None = None):
-    """Run the bubble test on ``n_partitions`` workers, with the default
-    gas constants.
+def _set_up(config: BubbleConfig, n_partitions: int, out_dir: str | None):
+    """Build the run: discretization, initial state, ``dt``, layout,
+    mailboxes and workers.
 
-    Returns (RunReport, final_state).  Snapshots and the diagnostics CSV
-    land in ``out_dir`` when given; without it no snapshot is collected.
-    A fault in a worker is raised here with a ``partition t, step s``
-    note (see :func:`worker_fault_note`); a diverged run ends normally,
-    with ``failed_step`` set in the report.
+    Returns (workers, mailboxes, dt, n_steps, n_unique, theta_csv):
+    only what the loop and the outputs read.  ``theta_csv`` is the
+    whole mesh's node coordinates and the background theta0 with an
+    ``out_dir``, else None.  The whole-mesh mesh, metric terms, initial
+    state and (at T > 1) numbering die on return, before step 1: each
+    worker keeps only its partition's rows and slices.
     """
-    config.validate()
     const = GasConstants()
-    setup0 = time.perf_counter()
     disc = build_discretization(config)
     state0, ra = init_bubble(config, disc, const)
 
@@ -449,8 +457,26 @@ def run_bubble(config: BubbleConfig, n_partitions: int = 1,
     snapshot_every = config.snapshot_every if out_dir is not None else 0
     workers = [_Worker(part.part_id, layout, disc, const, ra, state0, config,
                        mail, dt, n_steps, snapshot_every) for part in parts]
-    del state0      # the workers hold their rows: none is kept past step 1
+    theta_csv = (None if out_dir is None
+                 else (disc.numbering.node_coords, ra.theta0))
+    return workers, mail, dt, n_steps, disc.numbering.n_unique, theta_csv
 
+
+def run_bubble(config: BubbleConfig, n_partitions: int = 1,
+               out_dir: str | None = None):
+    """Run the bubble test on ``n_partitions`` workers, with the default
+    gas constants.
+
+    Returns (RunReport, final_state).  Snapshots and the diagnostics CSV
+    land in ``out_dir`` when given; without it no snapshot is collected.
+    A fault in a worker is raised here with a ``partition t, step s``
+    note (see :func:`worker_fault_note`); a diverged run ends normally,
+    with ``failed_step`` set in the report.
+    """
+    config.validate()
+    setup0 = time.perf_counter()
+    workers, mail, dt, n_steps, n_unique, theta_csv = _set_up(
+        config, n_partitions, out_dir)
     wall0 = time.perf_counter()
     setup = wall0 - setup0
     _, errors = mail.run(lambda t: workers[t].run())
@@ -471,7 +497,7 @@ def run_bubble(config: BubbleConfig, n_partitions: int = 1,
              for step in range(min(len(w.diags) for w in workers))]
 
     owned = [w.plan.own_gids[w.plan.owned] for w in workers]
-    final = np.empty((disc.numbering.n_unique, N_VARS))
+    final = np.empty((n_unique, N_VARS))
     for w, gids in zip(workers, owned):
         final[gids] = w.final_state[w.plan.owned]
 
@@ -498,7 +524,7 @@ def run_bubble(config: BubbleConfig, n_partitions: int = 1,
             f.write(report.diagnostics_csv())
         write_snapshot(os.path.join(out_dir, "state.bin"), final,
                        config.order)
-        _write_theta_csv(os.path.join(out_dir, "theta.csv"), final, ra, disc)
+        _write_theta_csv(os.path.join(out_dir, "theta.csv"), final, *theta_csv)
         snaps: dict[int, np.ndarray] = {}
         for w, gids in zip(workers, owned):
             for step, piece in w.snapshots:
@@ -509,13 +535,22 @@ def run_bubble(config: BubbleConfig, n_partitions: int = 1,
     return report, final
 
 
-def _write_theta_csv(path, state, ra, disc):
-    theta_p = state[:, 4] / state[:, 0] - ra.theta0
-    table = np.column_stack([disc.numbering.node_coords, theta_p])
-    with open(path, "w") as f:     # row by row as Python floats: plain digits
+def _write_theta_csv(path, state, node_coords, theta0):
+    """x, y, z and theta' of every point, each as its Python float
+    ``repr`` (plain digits).  Nodes lie on a lattice, so each axis holds
+    few distinct values: each is formatted once, by its bits, and only
+    theta' once per row."""
+    theta_p = state[:, 4] / state[:, 0] - theta0
+    columns = []
+    for d in range(3):
+        bits, at = np.unique(node_coords[:, d].view(np.int64),
+                             return_inverse=True)
+        text = [repr(v) for v in bits.view(np.float64).tolist()]
+        columns.append(np.array(text, dtype=object)[at].tolist())
+    with open(path, "w") as f:
         f.write("x,y,z,theta_prime\n")
-        f.writelines(f"{x!r},{y!r},{z!r},{tp!r}\n"
-                     for x, y, z, tp in map(np.ndarray.tolist, table))
+        f.writelines(f"{x},{y},{z},{tp!r}\n"
+                     for x, y, z, tp in zip(*columns, theta_p.tolist()))
 
 
 # ---------------------------------------------------------------------------

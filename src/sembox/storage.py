@@ -357,13 +357,15 @@ _HEADER = struct.Struct("<4sIIIQQI4x")  # magic, version, p, layout, rows, elems
 
 def write_snapshot(path, values: np.ndarray, order: int) -> None:
     """Write a field snapshot: fixed header then little-endian float64 rows,
-    (n_unique, n_vars) in ascending grid-point id."""
+    (n_unique, n_vars) in ascending grid-point id.  The rows go out
+    through the buffer protocol, so a C-contiguous float64 ``values`` is
+    written without a copy."""
     arr = np.ascontiguousarray(values, dtype="<f8")
     nv = arr.shape[-1]
     with open(path, "wb") as f:
         f.write(_HEADER.pack(_MAGIC, _VERSION, order, _LAYOUT_CG,
                              arr.size // nv, 0, nv))
-        f.write(arr.tobytes())
+        f.write(arr)
 
 
 def read_snapshot(path):

@@ -41,7 +41,10 @@ analytic derivative of the neutral pressure profile.
 
 The small helpers at the end evaluate, by definition, what the engine
 computes in bulk: a Lagrange cardinal polynomial, the mass integral, a
-column's elements, the forward Euler scheme, and the CSV table read back.
+column's elements, the forward Euler scheme, the CSV table read back,
+and ``theta.csv`` written row by row with four ``repr`` calls a point
+(the engine formats each distinct coordinate once; the bytes must be
+the same).
 """
 
 import dataclasses
@@ -147,7 +150,7 @@ def rhs_element_contributions(state_el, ra_el, metrics, ref, const,
 
 
 def direction_major_contributions(state_cg, gids, p_prime_el, rho_bar_el,
-                                  metrics, ref, const) -> np.ndarray:
+                                  jg, jw, ref, const) -> np.ndarray:
     """The contravariant kernel on a direction-major (3, 5, M) flux:
     U_a for all three directions at once, F[a] = U_a q plus jg[a, c] P'
     on the momentum rows, x contracted into ``div``, y into the spent x
@@ -156,7 +159,7 @@ def direction_major_contributions(state_cg, gids, p_prime_el, rho_bar_el,
     n = ref.n_nodes
     E, m = gids.shape[0], gids.size
     q = element_soa(state_cg, gids).reshape(N_VARS, m)
-    jg = metrics.jg.reshape(3, 3, m)
+    jg = jg.reshape(3, 3, m)
     U = np.multiply(jg[:, 0], q[1])
     U += jg[:, 1] * q[2]
     U += jg[:, 2] * q[3]
@@ -174,7 +177,7 @@ def direction_major_contributions(state_cg, gids, p_prime_el, rho_bar_el,
     contrib = _weight_into(np.empty((E, n, n, n, N_VARS)), div,
                            -ref.weights_3d.reshape(-1))
     contrib.reshape(E, n ** 3, N_VARS)[..., 3] -= (
-        const.gravity * metrics.jw.reshape(E, -1)
+        const.gravity * jw.reshape(E, -1)
         * (q[0].reshape(E, -1) - rho_bar_el))
     return contrib
 
@@ -213,8 +216,8 @@ def create_rhs(state_cg, disc, const, ra, scheme=SCHEME_CG) -> np.ndarray:
     else:
         contrib = engine_contributions(
             state_cg, gids, element_pressure(state_cg, gids, ra, const),
-            ra.cg[:, 0][gids], disc.metrics, disc.ref, const,
-            RhsWorkspace.create(gids.shape[0], disc.ref.n_nodes))
+            ra.cg[:, 0][gids], disc.metrics.jg, disc.metrics.jw, disc.ref,
+            const, RhsWorkspace.create(gids.shape[0], disc.ref.n_nodes))
     return dss(contrib, disc.numbering)
 
 
@@ -345,3 +348,14 @@ def parse_csv(text: str) -> dict:
         for lab, val in zip(labels, parts[1:]):
             out[inv[lab]][row] = float(val)
     return out
+
+
+def write_theta_csv_rows(path, state, node_coords, theta0) -> None:
+    """``theta.csv`` one row at a time: x, y, z and theta' of each point
+    as the ``repr`` of its Python float."""
+    theta_p = state[:, 4] / state[:, 0] - theta0
+    table = np.column_stack([node_coords, theta_p])
+    with open(path, "w") as f:
+        f.write("x,y,z,theta_prime\n")
+        f.writelines(f"{x!r},{y!r},{z!r},{tp!r}\n"
+                     for x, y, z, tp in map(np.ndarray.tolist, table))

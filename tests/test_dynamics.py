@@ -268,8 +268,9 @@ class TestContravariantKernel:
         gids = disc.numbering.global_ids
         p_el = element_pressure(state, gids, ra, CONST)
         got = rhs_element_contributions(
-            state, gids, p_el, ra.cg[:, 0][gids], disc.metrics, disc.ref,
-            CONST, RhsWorkspace.create(gids.shape[0], disc.ref.n_nodes))
+            state, gids, p_el, ra.cg[:, 0][gids], disc.metrics.jg,
+            disc.metrics.jw, disc.ref, CONST,
+            RhsWorkspace.create(gids.shape[0], disc.ref.n_nodes))
         want = oracles.rhs_element_contributions(
             state[gids], ra.cg[gids], disc.metrics, disc.ref, CONST,
             p_prime_el=p_el if scheme == SCHEME_CG else None)
@@ -320,7 +321,8 @@ class TestOneDirectionKernel:
     def both(disc, state, ra, ws):
         gids = disc.numbering.global_ids
         args = (state, gids, element_pressure(state, gids, ra, CONST),
-                ra.cg[:, 0][gids], disc.metrics, disc.ref, CONST)
+                ra.cg[:, 0][gids], disc.metrics.jg, disc.metrics.jw,
+                disc.ref, CONST)
         return (rhs_element_contributions(*args, ws),
                 oracles.direction_major_contributions(*args))
 

@@ -13,7 +13,8 @@ from sembox.harness import (
 from sembox.storage import read_snapshot
 from sembox.time_integration import TimestepControl, compute_dt, rk_step
 
-from oracles import apply_filter, create_rhs, hydrostatic_residual
+from oracles import (apply_filter, create_rhs, hydrostatic_residual,
+                     write_theta_csv_rows)
 
 CONST = GasConstants()
 
@@ -164,6 +165,21 @@ class TestRunBubble:
         theta_p = state[:, 4] / state[:, 0] - cfg.theta0
         assert np.array_equal(got, np.column_stack([coords, theta_p]))
         assert np.any(theta_p != 0.0)
+
+    @pytest.mark.parametrize("mesh", [dict(nx=2, ny=2, layers=2),
+                                      dict(nx=4, ny=4, layers=8, order=5)])
+    def test_theta_csv_equals_the_row_by_row_writer(self, tmp_path, mesh):
+        # a stepped state, negative theta' included; coordinates formatted
+        # once per distinct value must give the row-by-row bytes
+        cfg = BubbleConfig(n_steps=2, **mesh)
+        _, state = run_bubble(cfg)
+        coords = build_discretization(cfg).numbering.node_coords
+        assert np.any(state[:, 4] / state[:, 0] - cfg.theta0 < 0.0)
+        harness._write_theta_csv(tmp_path / "theta.csv", state, coords,
+                                 cfg.theta0)
+        write_theta_csv_rows(tmp_path / "rows.csv", state, coords, cfg.theta0)
+        assert ((tmp_path / "theta.csv").read_bytes()
+                == (tmp_path / "rows.csv").read_bytes())
 
     def test_diagnostics_csv_schema(self, small_run):
         report, _ = small_run

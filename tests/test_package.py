@@ -176,3 +176,31 @@ def test_engine_modules_refer_to_no_scheme_constant():
     found = {m: sorted(names) for m in ENGINE_MODULES
              if (names := scheme_constants(m))}
     assert found == {}, "the scheme is the ledger's label: see perf_model"
+
+
+# the top-level modules a run adds to those a bare interpreter holds once
+# it has imported numpy, outside the standard library and sembox itself,
+# one a line; run in a subprocess by the run_python fixture (conftest.py)
+DEPENDENCY_SCRIPT = """
+import sys
+import numpy
+
+def top_level():
+    return {name.partition(".")[0] for name in sys.modules}
+
+before = top_level()
+import sembox
+from sembox.harness import BubbleConfig, run_bubble
+run_bubble(BubbleConfig(nx=2, ny=2, layers=2, n_steps=1))
+for name in sorted(top_level() - before - {"sembox"}
+                   - set(sys.stdlib_module_names)):
+    print(name)
+"""
+
+
+def test_a_run_imports_nothing_beyond_numpy(run_python):
+    # pyproject.toml declares numpy alone, and every import counts in the
+    # benchmark's peak resident set (scipy.sparse adds about 22 MiB)
+    proc = run_python(DEPENDENCY_SCRIPT)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []

@@ -438,6 +438,25 @@ class TestSnapshot:
         assert np.array_equal(got, state)
         assert meta["order"] == 3 and meta["layout"] == "cg"
 
+    @pytest.mark.parametrize("layout", ["contiguous", "strided", "float32"])
+    def test_file_bytes_equal_the_tobytes_writer(self, tmp_path, setup443,
+                                                 layout):
+        # the header, then the rows as ``tobytes`` lays them out, whether
+        # the values are written as they lie or converted first
+        _, mesh, _, num = setup443
+        rng = np.random.default_rng(3)
+        wide = rng.standard_normal((num.n_unique, 2 * N_VARS))
+        wide[::7, 0] = -0.0
+        values = {"contiguous": wide[:, :N_VARS].copy(),
+                  "strided": wide[:, ::2],
+                  "float32": wide[:, :N_VARS].astype(np.float32)}[layout]
+        path = tmp_path / "state.bin"
+        write_snapshot(path, values, order=3)
+        head = struct.pack("<4sIIIQQI4x", b"SBXS", 1, 3, 0, num.n_unique, 0,
+                           N_VARS)
+        assert path.read_bytes() == head + np.ascontiguousarray(
+            values, dtype="<f8").tobytes()
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOPE" + b"\x00" * 60)
