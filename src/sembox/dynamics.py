@@ -9,15 +9,25 @@ Both element operators, the right-hand side (contravariant flux form;
 Kopriva, *Implementing Spectral Methods for PDEs*, 2009) and the modal
 filter, run on one pipeline: :func:`element_soa` gathers a batch of
 elements as a structure of arrays, ``contract`` applies a 1D operator
-along z, y or x of it, and :func:`_weight_into` writes the J*w-weighted
-result into the (E, n, n, n, 5) contributions that the workers in
+along z, y or x of it, and :func:`_weight_into` writes the weighted
+result into the (n, n, E, n, 5) contributions that the workers in
 ``harness`` assemble (``storage.PartitionLayout.exchange``, the engine's
-one assembly).  The perturbation pressure is evaluated once per unique
-point and gathered (:func:`element_pressure`); the kernel evaluates none.
-Both take only the geometry they read, the metric cofactors ``jg`` and
-the weighted Jacobian ``jw`` (the filter ``jw`` alone), not a whole
-:class:`~sembox.mesh.MetricTerms`, so a worker holds its partition's
-slices of those two and no node coordinates or Jacobian.
+one assembly).  Every element-node batch the operators read or write is
+node-major, (y, z, element, x) (:func:`~sembox.mesh.node_major`): the
+gather index, the geometry, the gathered state and pressure, the
+workspace and the contributions.  So a y derivative is one matrix
+product D @ S over every element, a z derivative one per y slab and an
+x derivative row GEMMs against D^T, each in chunks of at most
+``GEMM_ROWS`` columns or rows: a few dozen GEMMs a stage, where an
+element-major batch takes one per element and node.  Set-up, the
+numbering and the metric terms stay element-major; a worker holds its
+elements' node-major copies.  The perturbation pressure is evaluated
+once per unique point and gathered (:func:`element_pressure`); the
+kernel evaluates none.  Both take only the geometry they read, the
+metric cofactors ``jg``, the weighted Jacobian ``jw`` and, for the
+kernel, the negated quadrature weights (:func:`minus_weights`), not a
+whole :class:`~sembox.mesh.MetricTerms`, so a worker holds its
+partition's copies of those and no node coordinates or Jacobian.
 
 Every phase of the step is memory-bound, so the operators hold only
 live data: the kernel forms the flux one direction at a time in a
@@ -33,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import MetricTerms, CgNumbering
+from .mesh import MetricTerms, CgNumbering, node_major
 from .reference_element import ReferenceElement, contract
 from .storage import N_VARS, ReferenceAtmosphere
 
@@ -102,7 +112,8 @@ def flux(q, p_prime, jg_a, F, U):
 @dataclass
 class RhsWorkspace:
     """Reusable structure-of-arrays buffers of the right-hand-side kernel
-    for a batch of M = E n^3 element nodes: 11 M doubles.
+    for a batch of M = E n^3 element nodes, each row node-major
+    (y, z, E, x): 11 M doubles.
 
     The kernel forms one direction's flux at a time and returns its
     contributions in ``flux``, so a result lives only until the next
@@ -122,20 +133,29 @@ class RhsWorkspace:
 
 def element_soa(cg: np.ndarray, gids: np.ndarray) -> np.ndarray:
     """Rows of the point field ``cg`` (points, vars) at the element nodes
-    ``gids`` (E, n^3), as a structure of arrays (vars, E, n^3)."""
+    ``gids``, as a structure of arrays (vars, *gids.shape)."""
     return np.take(cg.T, gids, axis=1)
 
 
+def minus_weights(ref: ReferenceElement, n_elements: int) -> np.ndarray:
+    """-w, the negated tensor-product quadrature weight, at every node of
+    ``n_elements`` elements, node-major (M,).  The kernel weights its
+    contributions with it at full length, so that the write into the
+    (M, 5) contributions runs one loop over M, not one per x row."""
+    n = ref.n_nodes
+    return node_major(np.broadcast_to(-ref.weights_3d,
+                                      (n_elements, n, n, n))).ravel()
+
+
 def _weight_into(contrib, values, weights) -> np.ndarray:
-    """``values`` (5, E, n^3) times ``weights`` (broadcast against
-    (E, n^3)) into the contributions ``contrib`` (E, n, n, n, 5)."""
-    E = contrib.shape[0]
-    np.multiply(values.reshape(N_VARS, E, -1), weights,
-                out=contrib.reshape(E, -1, N_VARS).transpose(2, 0, 1))
+    """``values`` (5, M) times ``weights`` (M,) into the contributions
+    ``contrib`` (..., 5) of the same M nodes."""
+    np.multiply(values.reshape(N_VARS, -1), weights,
+                out=contrib.reshape(-1, N_VARS).T)
     return contrib
 
 
-def _first_bad_element(arr: np.ndarray, axis: int = 0) -> int:
+def _first_bad_element(arr: np.ndarray, axis: int) -> int:
     """First element with a non-finite value; ``axis`` is the element axis."""
     bad = ~np.isfinite(np.moveaxis(arr, axis, 0).reshape(arr.shape[axis], -1))
     return int(np.argmax(np.any(bad, axis=1)))
@@ -144,9 +164,10 @@ def _first_bad_element(arr: np.ndarray, axis: int = 0) -> int:
 def rhs_element_contributions(state_cg: np.ndarray, gids: np.ndarray,
                               p_prime_el: np.ndarray, rho_bar_el: np.ndarray,
                               jg: np.ndarray, jw: np.ndarray,
-                              ref: ReferenceElement, const: GasConstants,
+                              minus_w: np.ndarray, ref: ReferenceElement,
+                              const: GasConstants,
                               ws: RhsWorkspace) -> np.ndarray:
-    """J*w-weighted RHS contribution of every element at ``gids`` (E, n^3).
+    """J*w-weighted RHS contribution of every element node at ``gids``.
 
     Contravariant (conservative) flux form: with F_a the flux along
     xi_a (see :func:`flux`), the element divergence is
@@ -159,48 +180,49 @@ def rhs_element_contributions(state_cg: np.ndarray, gids: np.ndarray,
     hold, which needs p >= 2 (at p = 1 the cofactor is not differentiated
     exactly).
 
-    ``state_cg`` holds the points ``gids`` indexes; ``p_prime_el`` is the
-    perturbation pressure and ``rho_bar_el`` the background density at
-    the element nodes, both (E, n^3) (:func:`element_pressure`,
-    ``ReferenceAtmosphere.cg[:, 0][gids]``); ``jg`` (3, 3, E, n, n, n)
-    and ``jw`` (E, n, n, n) are the elements' metric cofactors and
-    weighted Jacobian (:class:`~sembox.mesh.MetricTerms`), the only
-    geometry the kernel reads; ``ws`` holds the kernel's buffers for E
+    Every batch is node-major (:func:`~sembox.mesh.node_major`): ``gids``
+    (n, n, E, n) indexes the points ``state_cg`` holds; ``p_prime_el`` is
+    the perturbation pressure and ``rho_bar_el`` the background density
+    at those nodes (:func:`element_pressure`,
+    ``ReferenceAtmosphere.cg[:, 0][gids]``); ``jg`` (3, 3, n, n, E, n)
+    and ``jw`` (n, n, E, n) are the elements' metric cofactors and
+    weighted Jacobian (:class:`~sembox.mesh.MetricTerms`, node-major),
+    the only geometry the kernel reads, and ``minus_w`` (M,) is
+    :func:`minus_weights`; ``ws`` holds the kernel's buffers for E
     elements (:meth:`RhsWorkspace.create`).  The kernel evaluates no
-    pressure.  Returns a C-contiguous (E, n, n, n, 5) view
-    of ``ws.flux``: valid until the next call on ``ws``, which
-    overwrites it.
+    pressure.  Returns a C-contiguous (n, n, E, n, 5) view of
+    ``ws.flux``: valid until the next call on ``ws``, which overwrites
+    it.
     """
     n = ref.n_nodes
-    E = gids.shape[0]
     m = gids.size
     q = element_soa(state_cg, gids).reshape(N_VARS, m)
     if not np.all(np.isfinite(q)):
         raise DivergedStateError(
-            _first_bad_element(q.reshape(N_VARS, E, -1), axis=1))
+            _first_bad_element(q.reshape(N_VARS, *gids.shape), axis=3))
     p_prime = p_prime_el.reshape(m)
     jg = jg.reshape(3, 3, m)
     D = ref.diff_matrix
-    # one direction's flux at a time: x contracts into div as GEMMs
-    # against D^T in row chunks small enough that OpenBLAS starts no pool
-    # thread (see contract); y and z contract one variable at a time into
-    # U, free once the flux is formed, and add to div in the order x+y+z
+    # one direction's flux at a time: x contracts into div as row GEMMs
+    # against D^T, y and z one variable at a time into U, free once the
+    # flux is formed, as D @ S over every element (y) or per y slab (z);
+    # each adds to div in the order x+y+z
     F = flux(q, p_prime, jg[0], ws.flux, ws.U)
-    contract(D, F.reshape(-1, n, n, n), ws.div, 2)
+    contract(D, F.reshape(-1, n), ws.div, 1)
     for a in (1, 2):
         F = flux(q, p_prime, jg[a], ws.flux, ws.U)
         for v in range(N_VARS):
-            contract(D, F[v].reshape(-1, n, n, n), ws.U, 2 - a)
+            contract(D, F[v].reshape(gids.shape), ws.U, a - 1)
             ws.div[v] += ws.U
     # source: gravity acting on the density perturbation only
-    source = (const.gravity * jw.reshape(E, -1)
-              * (q[0].reshape(E, -1) - rho_bar_el))
+    source = const.gravity * jw.reshape(m) * (q[0] - rho_bar_el.reshape(m))
     del q           # the gather is freed before the contributions come
-    contrib = _weight_into(ws.flux.reshape(E, n, n, n, N_VARS), ws.div,
-                           -ref.weights_3d.reshape(-1))
-    contrib.reshape(E, n ** 3, N_VARS)[..., 3] -= source
+    contrib = _weight_into(ws.flux.reshape(*gids.shape, N_VARS), ws.div,
+                           minus_w)
+    contrib.reshape(m, N_VARS)[:, 3] -= source
     if not np.all(np.isfinite(contrib)):
-        raise DivergedStateError(_first_bad_element(contrib), "right-hand side")
+        raise DivergedStateError(_first_bad_element(contrib, axis=2),
+                                 "right-hand side")
     return contrib
 
 
@@ -228,30 +250,31 @@ def element_pressure(state_cg: np.ndarray, gids: np.ndarray,
 
 
 def filter_element(q: np.ndarray, ref: ReferenceElement) -> np.ndarray:
-    """The modal filter along z, y and x of the structure-of-arrays batch
-    ``q`` (B, n, n, n), between one scratch buffer and ``q``, which it
-    overwrites; returns the filtered batch."""
+    """The modal filter along z, y and x of the node-major
+    structure-of-arrays batch ``q`` (vars, n, n, E, n), between one
+    scratch buffer and ``q``, which it overwrites; returns the filtered
+    batch."""
     F = ref.filter_matrix
     scratch = np.empty_like(q)
-    contract(F, q, scratch, 0)
-    contract(F, scratch, q, 1)
     contract(F, q, scratch, 2)
+    contract(F, scratch, q, 1)
+    contract(F, q, scratch, 4)
     return scratch
 
 
 def filter_contributions(state_cg: np.ndarray, gids: np.ndarray,
                          jw: np.ndarray, ref: ReferenceElement):
-    """J*w-weighted filtered values of the elements at ``gids`` (E, n^3),
-    for DSS; None when the filter is off (``filter_mu == 0``)."""
+    """J*w-weighted filtered values of the element nodes at ``gids``
+    (n, n, E, n), for DSS, node-major (n, n, E, n, 5) like ``gids`` and
+    ``jw``; None when the filter is off (``filter_mu == 0``)."""
     if ref.filter_mu == 0.0:
         return None
-    E, n = gids.shape[0], ref.n_nodes
     # the gather is spent once the third contraction has read it, so the
     # contributions go into it: two batch arrays live, not three
-    q = element_soa(state_cg, gids).reshape(-1, n, n, n)
+    q = element_soa(state_cg, gids)
     filtered = filter_element(q, ref)
-    return _weight_into(q.reshape(E, n, n, n, N_VARS), filtered,
-                        jw.reshape(E, -1))
+    return _weight_into(q.reshape(*gids.shape, N_VARS), filtered,
+                        jw.reshape(-1))
 
 
 def apply_boundary(state_cg: np.ndarray, numbering: CgNumbering) -> np.ndarray:

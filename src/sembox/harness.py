@@ -12,10 +12,11 @@ Every partition runs in its own worker, started by
 ``halo_exchange``), and the only cross-worker data are the halo
 messages, which travel through those mailboxes.  A worker holds its
 state, stages and diagnostics only at the points its partition touches,
-in the partition's local numbering, its elements' slices of the metric
-terms the kernels read (``jg`` and ``jw``), and its phase timing and
-stage loop; a stage combines its terms in place, through one scratch
-array.  Its ``_rhs`` and ``_filter``
+in the partition's local numbering, its elements' node-major batches
+(``mesh.node_major``) of what the kernels read (the gather index, ``jg``,
+``jw``, the background density and the weight row), built at
+construction, and its phase timing and stage loop; a stage combines its
+terms in place, through one scratch array.  Its ``_rhs`` and ``_filter``
 (``dynamics`` kernels, then ``PartitionLayout.exchange``) are the
 engine's only RHS and filter; one worker is the serial run, and any
 worker count gives ``rk_step`` over a serial assembly bit for bit.  A
@@ -37,12 +38,12 @@ import numpy as np
 
 from .reference_element import ReferenceElement
 from .mesh import (build_box_mesh, compute_metrics, build_cg_numbering,
-                   partition_columns)
+                   node_major, partition_columns)
 from .storage import (N_VARS, Mailboxes, NeighborStopped, PartitionLayout,
                       ReferenceAtmosphere, write_snapshot)
 from .dynamics import (Discretization, GasConstants, RhsWorkspace,
                        DivergedStateError, StateValidityError, apply_boundary,
-                       element_pressure, filter_contributions,
+                       element_pressure, filter_contributions, minus_weights,
                        rhs_element_contributions)
 from .time_integration import (DEFAULT_SCHEME, TimestepControl, compute_dt)
 from .perf_model import SCHEME_CG, ENGINE_SCHEMES, SimConfig, count_costs
@@ -168,13 +169,22 @@ DIAG_FIELDS = ("step", "time", "mass", "theta_min", "theta_max",
 PHASES = ("create_rhs", "dss_comm", "filter", "update")
 
 
+def _speed2(q):
+    """Squared speed at each row of the conserved state ``q`` (points, 5),
+    summed x + y, then + z, by whole columns: a reduction along the
+    three-long axis runs one short loop per point."""
+    u = q[:, 1:4] / q[:, 0:1]
+    u *= u
+    return (u[:, 0] + u[:, 1]) + u[:, 2]
+
+
 def _diag_partials(state, ra, numbering, node_sel):
     """Mass/extrema partial sums over one partition's owned points."""
     q = state[node_sel]
     M = numbering.mass[node_sel]
     theta_p = q[:, 4] / q[:, 0] - ra.theta0
     w = M * np.maximum(theta_p, 0.0)
-    speed2 = np.sum((q[:, 1:4] / q[:, 0:1]) ** 2, axis=1)
+    speed2 = _speed2(q)
     # numpy sums, not BLAS dot products (see the module docstring)
     return {
         "mass": float(np.sum(M * q[:, 0])),
@@ -284,18 +294,20 @@ def strong_scaling_efficiency(t_base: float, n_base: int, t: float, n: int) -> f
 class _Worker:
     """One partition's full time loop on partition-local arrays;
     communicates only through the mailboxes.  It takes its rows of the
-    initial state ``state0`` at construction.  Diagnostic partials and
-    snapshot pieces of the points the partition owns collect in
-    ``diags`` and ``snapshots``, read by the driver after the join."""
+    initial state ``state0`` and its elements' node-major copies of the
+    whole mesh's metric cofactors ``jg`` and weighted Jacobian ``jw`` at
+    construction.  Diagnostic partials and snapshot pieces of the points
+    the partition owns collect in ``diags`` and ``snapshots``, read by
+    the driver after the join."""
 
     def __init__(self, part_id: int, layout: PartitionLayout,
-                 disc: Discretization, const: GasConstants,
-                 ra: ReferenceAtmosphere, state0: np.ndarray,
-                 config: BubbleConfig, mail: Mailboxes, dt: float,
-                 n_steps: int, snapshot_every: int):
+                 ref: ReferenceElement, jg: np.ndarray, jw: np.ndarray,
+                 const: GasConstants, ra: ReferenceAtmosphere,
+                 state0: np.ndarray, config: BubbleConfig, mail: Mailboxes,
+                 dt: float, n_steps: int, snapshot_every: int):
         self.t = part_id
         self.layout = layout
-        self.ref = disc.ref
+        self.ref = ref
         self.const = const
         self.config = config
         self.mail = mail
@@ -304,15 +316,18 @@ class _Worker:
         self.snapshot_every = snapshot_every
         self.plan = plan = layout.plans[part_id]
         self.num = plan.numbering
-        self.whole = self.num is disc.numbering
+        self.whole = len(layout.plans) == 1
         self.ra = ReferenceAtmosphere(ra.theta0, self._local(ra.cg))
-        self.gids = self.num.global_ids
-        # the kernels' geometry, as views of the partition's elements;
-        # nothing else of the metric terms is held past set-up
+        # the kernels' batches, node-major: the gather index and the
+        # partition's copies of the geometry they read; nothing else of
+        # the metric terms is held past set-up
+        E, n = plan.elem_stop - plan.elem_start, ref.n_nodes
+        self.gids = node_major(self.num.global_ids.reshape(E, n, n, n))
         elems = slice(plan.elem_start, plan.elem_stop)
-        self.jg = disc.metrics.jg[:, :, elems]
-        self.jw = disc.metrics.jw[elems]
-        self.ws = RhsWorkspace.create(len(self.gids), disc.ref.n_nodes)
+        self.jg = node_major(jg[:, :, elems], axis=2)
+        self.jw = node_major(jw[elems])
+        self.minus_w = minus_weights(ref, E)
+        self.ws = RhsWorkspace.create(E, n)
         self.rho_bar_el = self.ra.cg[:, 0][self.gids]
         self.diags = []
         self.snapshots = []
@@ -344,7 +359,8 @@ class _Worker:
         contrib = rhs_element_contributions(
             state, self.gids,
             element_pressure(state, self.gids, self.ra, self.const),
-            self.rho_bar_el, self.jg, self.jw, self.ref, self.const, self.ws)
+            self.rho_bar_el, self.jg, self.jw, self.minus_w, self.ref,
+            self.const, self.ws)
         self._time("create_rhs", t0)
         return self._exchange(contrib)
 
@@ -437,9 +453,11 @@ def _set_up(config: BubbleConfig, n_partitions: int, out_dir: str | None):
     Returns (workers, mailboxes, dt, n_steps, n_unique, theta_csv):
     only what the loop and the outputs read.  ``theta_csv`` is the
     whole mesh's node coordinates and the background theta0 with an
-    ``out_dir``, else None.  The whole-mesh mesh, metric terms, initial
-    state and (at T > 1) numbering die on return, before step 1: each
-    worker keeps only its partition's rows and slices.
+    ``out_dir``, else None.  The mesh and the metric terms' node
+    coordinates and Jacobian die before the workers copy their node-major
+    batches; the rest of the whole-mesh metric terms, the initial state
+    and (at T > 1) the numbering die on return, before step 1: each
+    worker keeps only its partition's rows and copies.
     """
     const = GasConstants()
     disc = build_discretization(config)
@@ -455,11 +473,15 @@ def _set_up(config: BubbleConfig, n_partitions: int, out_dir: str | None):
     layout = PartitionLayout(disc.mesh, disc.numbering, parts)
     mail = Mailboxes(layout)
     snapshot_every = config.snapshot_every if out_dir is not None else 0
-    workers = [_Worker(part.part_id, layout, disc, const, ra, state0, config,
-                       mail, dt, n_steps, snapshot_every) for part in parts]
-    theta_csv = (None if out_dir is None
-                 else (disc.numbering.node_coords, ra.theta0))
-    return workers, mail, dt, n_steps, disc.numbering.n_unique, theta_csv
+    numbering, ref, jg, jw = (disc.numbering, disc.ref, disc.metrics.jg,
+                              disc.metrics.jw)
+    del disc    # the mesh, node coordinates and Jacobian go here, so
+                # they are not held while the workers copy their batches
+    workers = [_Worker(part.part_id, layout, ref, jg, jw, const, ra, state0,
+                       config, mail, dt, n_steps, snapshot_every)
+               for part in parts]
+    theta_csv = None if out_dir is None else (numbering.node_coords, ra.theta0)
+    return workers, mail, dt, n_steps, numbering.n_unique, theta_csv
 
 
 def run_bubble(config: BubbleConfig, n_partitions: int = 1,

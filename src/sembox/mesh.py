@@ -216,14 +216,14 @@ def compute_metrics(mesh: ColumnMesh, ref: ReferenceElement) -> MetricTerms:
     shape = 0.5 * np.stack([1.0 - x, 1.0 + x], axis=1)  # (n, 2) linear basis
     corners = np.ascontiguousarray(np.moveaxis(mesh.vertices, -1, 0))
     along_x = contract(shape, corners.reshape(3 * E, 2, 2, 2),
-                       np.empty((3 * E, 2, 2, n)), 2)
-    along_y = contract(shape, along_x, np.empty((3 * E, 2, n, n)), 1)
-    xyz = contract(shape, along_y, np.empty((3, E, n, n, n)), 0)
+                       np.empty((3 * E, 2, 2, n)), 3)
+    along_y = contract(shape, along_x, np.empty((3 * E, 2, n, n)), 2)
+    xyz = contract(shape, along_y, np.empty((3, E, n, n, n)), 1)
 
     g = np.empty((3,) + xyz.shape)                     # g[b, d] = dx_d/dxi_b
-    contract(D, xyz.reshape(3 * E, n, n, n), g[0], 2)  # d/dxi
-    contract(D, xyz.reshape(3 * E, n, n, n), g[1], 1)  # d/deta
-    contract(D, xyz.reshape(3 * E, n, n, n), g[2], 0)  # d/dzeta
+    contract(D, xyz.reshape(3 * E, n, n, n), g[0], 3)  # d/dxi
+    contract(D, xyz.reshape(3 * E, n, n, n), g[1], 2)  # d/deta
+    contract(D, xyz.reshape(3 * E, n, n, n), g[2], 1)  # d/dzeta
     coords = np.moveaxis(xyz, 0, -1)
 
     jg = np.empty_like(g)
@@ -244,6 +244,21 @@ def compute_metrics(mesh: ColumnMesh, ref: ReferenceElement) -> MetricTerms:
                        jw=jac * ref.weights_3d)
 
 
+def node_major(a: np.ndarray, axis: int = 0) -> np.ndarray:
+    """The element-node batch ``a`` in node-major order, C-contiguous.
+
+    ``a`` holds its elements along ``axis`` and their nodes' z, y and x
+    along the next three axes, [..., element, k, j, i, ...], as set-up
+    builds them; node-major swaps the element and y axes,
+    [..., j, k, element, i, ...], so a derivative along y or z is a few
+    matrix products over every element at once
+    (:func:`~sembox.reference_element.contract`).  The swap is its own
+    inverse: ``node_major`` of a node-major batch, with ``axis`` its y
+    axis, is the element-major batch.
+    """
+    return np.ascontiguousarray(np.swapaxes(a, axis, axis + 2))
+
+
 # ---------------------------------------------------------------------------
 # Continuous-Galerkin numbering
 # ---------------------------------------------------------------------------
@@ -259,9 +274,9 @@ class CgNumbering:
     defines the canonical summation order of the assembly.
     :meth:`entry_rank` gives each element node's place in that order at
     its point, and :attr:`assembly_plan` runs it as dense rank-by-rank
-    adds.  ``lattice_dims`` describes the whole mesh; a partition's
-    numbering (:meth:`restrict`) keeps it, so there ``n_unique`` is
-    smaller than its product.
+    adds over node-major contributions.  ``lattice_dims`` describes the
+    whole mesh; a partition's numbering (:meth:`restrict`) keeps it, so
+    there ``n_unique`` is smaller than its product.
     """
 
     order: int
@@ -294,10 +309,13 @@ class CgNumbering:
 
     @cached_property
     def assembly_plan(self) -> tuple[np.ndarray, list]:
-        """:func:`rank_major_plan` of every element node, by flat id.
-        Built on first use."""
-        return rank_major_plan(self.global_ids.ravel(), self.entry_rank(),
-                               self.n_unique)
+        """:func:`rank_major_plan` of every element node, by its row in
+        node-major order (:func:`node_major`), the order the element
+        kernels write their contributions in.  Built on first use."""
+        shape = (self.global_ids.shape[0],) + (self.order + 1,) * 3
+        rows = [node_major(ids.reshape(shape)).ravel()
+                for ids in (self.global_ids, self.entry_rank())]
+        return rank_major_plan(*rows, self.n_unique)
 
     def restrict(self, start: int, stop: int):
         """Numbering of the points elements [start, stop) touch.

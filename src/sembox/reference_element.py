@@ -163,43 +163,57 @@ def default_filter_cutoff(p: int) -> int:
     return min(p, math.ceil(2 * (p + 1) / 3))
 
 
-# Rows per GEMM when a contraction runs along the last node axis.  Above a
-# few hundred thousand multiply-adds (m*n*k) per call OpenBLAS splits a
-# GEMM over its thread pool, whose threads then spin between calls on the
-# core a second partition worker needs; 2048 rows keep n <= 7 at most
-# 2049*7*7 = 100,401.  The rows of a GEMM do not depend on which others
-# share the call, so the chunking leaves every bit as one GEMM gives it.
+# Rows or columns per GEMM of a contraction.  Above a few hundred thousand
+# multiply-adds (m*n*k) per call OpenBLAS splits a GEMM over its thread
+# pool, whose threads then spin between calls on the core a second
+# partition worker needs; 2048 rows (along the last axis) or columns
+# (along a leading one) keep n <= 7 at most 2048*7*7 = 100,352.  The rows
+# and columns of a GEMM do not depend on which others share the call, so
+# the chunking leaves every bit as one GEMM gives it.
 GEMM_ROWS = 2048
 
 
-def contract(A: np.ndarray, src: np.ndarray, dst: np.ndarray, axis: int):
-    """Apply the (m, k) matrix A along one node axis of src into dst.
+def gemm_chunks(length: int) -> list[tuple[int, int]]:
+    """(start, stop) of the consecutive chunks that cover ``range(length)``
+    in a contraction's GEMMs: at most ``GEMM_ROWS`` each, and none one
+    wide unless ``length`` is 1, since numpy takes a one-row or
+    one-column product through its matrix-vector path, whose bits differ
+    (a last chunk of one gives one to the chunk before it)."""
+    bounds = list(range(0, length, GEMM_ROWS)) + [length]
+    if len(bounds) > 2 and length - bounds[-2] == 1:
+        bounds[-2] -= 1
+    return list(zip(bounds, bounds[1:]))
 
-    ``src`` is (B, a, b, c, ...) with a batch axis first; ``axis`` counts
-    node axes (0 = z, 1 = y, 2 = x) and names one of length k, which
-    becomes length m in the C-contiguous ``dst``.  The contraction runs as
-    a batched matrix product on reshaped views: grouping the leading axes
-    and flattening the trailing ones leaves the contracted axis in the
-    middle, which is much faster than the general einsum path.  Along the
-    last axis (no trailing ones) the node rows run as GEMMs against A^T
-    of ``GEMM_ROWS`` rows each.  Either way every row of the result is
-    the same bits whatever rows share the batch, which partition
-    invariance needs; a whole batch of one row is the exception, as numpy
-    takes a one-row product through its matrix-vector path.
+
+def contract(A: np.ndarray, src: np.ndarray, dst: np.ndarray, axis: int):
+    """Apply the (m, k) matrix A along axis ``axis`` of src into dst.
+
+    ``src`` has length k along ``axis``, which becomes length m in the
+    C-contiguous ``dst``.  The contraction runs as matrix products on
+    reshaped views: grouping the axes before ``axis`` into a batch and
+    flattening the ones after it into columns gives A @ S per batch
+    entry, the columns in chunks (:func:`gemm_chunks`); along the last
+    axis (no columns) the rows run as chunked GEMMs against A^T.  In an
+    element-node batch held node-major, (y, z, element, x)
+    (:func:`~sembox.mesh.node_major`), y is one product over every
+    element, z one per y slab and x the row GEMMs: a handful of GEMMs,
+    not one per element.  Every column, and every row, of the result is
+    the same bits whatever else shares the call, which partition
+    invariance needs; a whole product one column or one row wide is the
+    exception (see :func:`gemm_chunks`).
     """
-    lead = math.prod(src.shape[:axis + 1])
-    k = src.shape[axis + 1]
+    lead = math.prod(src.shape[:axis])
+    k = src.shape[axis]
     trail = src.size // (lead * k)
     if trail > 1:
-        np.matmul(A, src.reshape(lead, k, trail),
-                  out=dst.reshape(lead, A.shape[0], trail))
+        S = src.reshape(lead, k, trail)
+        out = dst.reshape(lead, A.shape[0], trail)
+        for start, stop in gemm_chunks(trail):
+            np.matmul(A, S[..., start:stop], out=out[..., start:stop])
         return dst
     rows, out = src.reshape(lead, k), dst.reshape(lead, A.shape[0])
     At = np.ascontiguousarray(A.T)
-    bounds = list(range(0, lead, GEMM_ROWS)) + [lead]
-    if len(bounds) > 2 and lead - bounds[-2] == 1:
-        del bounds[-2]  # no one-row chunk: it would take the other path
-    for start, stop in zip(bounds, bounds[1:]):
+    for start, stop in gemm_chunks(lead):
         np.matmul(rows[start:stop], At, out=out[start:stop])
     return dst
 

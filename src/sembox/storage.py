@@ -19,7 +19,10 @@ the prefix of points that have that rank).  It runs over a partition's
 own elements and over the contributions at nodes shared between
 partitions: those are serialized in element order and exchanged raw
 (one value per contributing element), each keeping its rank in the whole
-mesh.
+mesh.  The contributions come as the element kernels write them,
+node-major (:func:`~sembox.mesh.node_major`), (p+1, p+1, E, p+1, 5):
+the own-point plan (:attr:`CgNumbering.assembly_plan`) and the
+serialization index their rows.
 
 :meth:`PartitionLayout.exchange` is the engine's one assembly (serial is
 its one-partition case),
@@ -42,7 +45,8 @@ import threading
 
 import numpy as np
 
-from .mesh import ColumnMesh, CgNumbering, Partition, rank_major_plan
+from .mesh import (ColumnMesh, CgNumbering, Partition, node_major,
+                   rank_major_plan)
 
 N_VARS = 5
 
@@ -87,6 +91,7 @@ class _PartPlan:
     owned: np.ndarray              # local ids no lower partition touches
     shared: np.ndarray             # local ids also touched by other partitions
     ser_idx: np.ndarray            # serialization: row of contrib.reshape(-1, 5)
+                                   # (node-major), in element order
     msg_send: dict = field(default_factory=dict)  # u -> serialization index
     recv_len: dict = field(default_factory=dict)  # s -> entries s sends
     fold_plan: tuple | None = None  # rank_major_plan of own + received entries
@@ -138,12 +143,20 @@ class PartitionLayout:
         bounds = np.searchsorted(entries, np.multiply(ends, nn))
         mine = [np.arange(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
 
-        self.plans = [_PartPlan(
-            elem_start=part.elem_start, elem_stop=part.elem_stop,
-            numbering=num, own_gids=own, owned=first,
-            shared=np.flatnonzero(is_shared[own]),
-            ser_idx=entries[m] - part.elem_start * nn)
-            for part, (num, own), first, m in zip(parts, local, owned, mine)]
+        # the serialization keeps element order and indexes the rows of
+        # the node-major contributions (one partition has none to index)
+        n = numbering.order + 1
+        self.plans = []
+        for part, (num, own), first, m in zip(parts, local, owned, mine):
+            ser = entries[m] - part.elem_start * nn
+            if ser.size:
+                E = part.n_elements
+                row = node_major(np.arange(E * nn).reshape(n, n, E, n))
+                ser = row.ravel()[ser]
+            self.plans.append(_PartPlan(
+                elem_start=part.elem_start, elem_stop=part.elem_stop,
+                numbering=num, own_gids=own, owned=first,
+                shared=np.flatnonzero(is_shared[own]), ser_idx=ser))
 
         rank = numbering.entry_rank()[entries] if entries.size else entries
         n_at = np.bincount(point)      # the whole mesh's entries per point
@@ -207,7 +220,8 @@ class PartitionLayout:
 
     def exchange(self, t: int, contrib: np.ndarray,
                  mail: "Mailboxes") -> np.ndarray:
-        """Partition t's assembled array, one row per local point.
+        """Partition t's assembled array, one row per local point, from
+        its node-major contributions ``contrib`` (..., 5).
 
         Serialize, post the halo messages, accumulate own elements while
         they travel, fold what arrives, scale by the inverse mass.

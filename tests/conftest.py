@@ -33,3 +33,28 @@ def run_python():
         return subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, timeout=300)
     return run
+
+
+@pytest.fixture
+def recorded_gemms(monkeypatch):
+    """Every GEMM ``contract`` issues, as (m, n, k), in a list: numpy's
+    ``matmul`` seen from ``reference_element`` records each product of
+    a batched call."""
+    import numpy as np
+    from sembox import reference_element
+
+    gemms = []
+
+    class Recording:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def matmul(a, b, out):
+            batch = int(np.prod(np.broadcast_shapes(a.shape[:-2],
+                                                    b.shape[:-2])))
+            gemms.extend([(a.shape[-2], b.shape[-1], a.shape[-1])] * batch)
+            return np.matmul(a, b, out=out)
+
+    monkeypatch.setattr(reference_element, "np", Recording())
+    return gemms

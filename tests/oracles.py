@@ -24,7 +24,11 @@ Serial operators: the engine assembles only through
 serial right-hand side, filter and direct stiffness summation here run
 the engine's element kernels on the whole mesh and assemble them with
 the color-batch loop, the canonical summation order by definition; the
-partitioned runs must match them bit for bit.  The filter's reference
+partitioned runs must match them bit for bit.  The engine's kernels
+take and return node-major batches (``mesh.node_major``): the helpers
+here hand them the whole mesh as a worker holds its partition and turn
+their contributions back to element-major with the same swap; every
+reference here stays element-major.  The filter's reference
 is the array-of-structures form the engine replaced: a gathered
 (E, n, n, n, 5) copy filtered along z, y and x, then weighted; the
 engine's structure-of-arrays filter must give the same bytes.
@@ -42,7 +46,9 @@ analytic derivative of the neutral pressure profile.
 The small helpers at the end evaluate, by definition, what the engine
 computes in bulk: a Lagrange cardinal polynomial, the mass integral, a
 column's elements, the forward Euler scheme, the CSV table read back,
-and ``theta.csv`` written row by row with four ``repr`` calls a point
+the squared speed as one reduction along the velocity axis (the
+diagnostics sum its three columns; the bytes must be the same), and
+``theta.csv`` written row by row with four ``repr`` calls a point
 (the engine formats each distinct coordinate once; the bytes must be
 the same).
 """
@@ -51,10 +57,10 @@ import dataclasses
 
 import numpy as np
 
-from sembox.dynamics import (RhsWorkspace, _weight_into, element_pressure,
-                             element_soa, filter_contributions, pressure,
+from sembox.dynamics import (RhsWorkspace, element_pressure, element_soa,
+                             filter_contributions, minus_weights, pressure,
                              rhs_element_contributions as engine_contributions)
-from sembox.mesh import MetricTerms, build_box_mesh
+from sembox.mesh import MetricTerms, build_box_mesh, node_major
 from sembox.perf_model import SCHEME_CG, SCHEME_DG, SCHEME_LABELS
 from sembox.reference_element import contract
 from sembox.storage import N_VARS
@@ -169,13 +175,14 @@ def direction_major_contributions(state_cg, gids, p_prime_el, rho_bar_el,
         F[a, 1:4] += jg[a] * p_prime_el.reshape(m)
     D = ref.diff_matrix
     div = np.empty((N_VARS, m))
-    contract(D, F[0].reshape(-1, n, n, n), div, 2)
-    contract(D, F[1].reshape(-1, n, n, n), F[0], 1)
+    contract(D, F[0].reshape(-1, n, n, n), div, 3)
+    contract(D, F[1].reshape(-1, n, n, n), F[0], 2)
     div += F[0]
-    contract(D, F[2].reshape(-1, n, n, n), F[1], 0)
+    contract(D, F[2].reshape(-1, n, n, n), F[1], 1)
     div += F[1]
-    contrib = _weight_into(np.empty((E, n, n, n, N_VARS)), div,
-                           -ref.weights_3d.reshape(-1))
+    contrib = np.empty((E, n, n, n, N_VARS))
+    np.multiply(div.reshape(N_VARS, E, -1), -ref.weights_3d.reshape(-1),
+                out=contrib.reshape(E, -1, N_VARS).transpose(2, 0, 1))
     contrib.reshape(E, n ** 3, N_VARS)[..., 3] -= (
         const.gravity * jw.reshape(E, -1)
         * (q[0].reshape(E, -1) - rho_bar_el))
@@ -191,6 +198,13 @@ def accumulate_by_color(contrib, numbering) -> np.ndarray:
     for batch in numbering.color_batches:
         acc[numbering.global_ids[batch].ravel()] += flat[batch].reshape(-1, nv)
     return acc
+
+
+def node_major_contrib(contrib, order) -> np.ndarray:
+    """Element-major (E, n^3, vars) contributions as the node-major
+    (n, n, E, n, vars) batch the engine's exchange takes."""
+    n = order + 1
+    return node_major(contrib.reshape(-1, n, n, n, contrib.shape[-1]))
 
 
 def dss(contrib, numbering) -> np.ndarray:
@@ -209,25 +223,47 @@ def create_rhs(state_cg, disc, const, ra, scheme=SCHEME_CG) -> np.ndarray:
     duplicated element node, where DG storage places it; the engine
     runs CG under either scheme, so this is the one per-node path left.
     """
-    gids = disc.numbering.global_ids
     if scheme == SCHEME_DG:
+        gids = disc.numbering.global_ids
         contrib = rhs_element_contributions(state_cg[gids], ra.cg[gids],
                                             disc.metrics, disc.ref, const)
     else:
-        contrib = engine_contributions(
-            state_cg, gids, element_pressure(state_cg, gids, ra, const),
-            ra.cg[:, 0][gids], disc.metrics.jg, disc.metrics.jw, disc.ref,
-            const, RhsWorkspace.create(gids.shape[0], disc.ref.n_nodes))
+        contrib = node_major(engine_kernel(state_cg, disc, ra, const))
     return dss(contrib, disc.numbering)
+
+
+def node_major_batch(disc, elems=slice(None)):
+    """The gather index (n, n, E, n), metric cofactors and weighted
+    Jacobian of the elements ``elems`` node-major, as a worker holds
+    them for its kernels."""
+    n = disc.ref.n_nodes
+    gids = disc.numbering.global_ids[elems]
+    return (node_major(gids.reshape(-1, n, n, n)),
+            node_major(disc.metrics.jg[:, :, elems], axis=2),
+            node_major(disc.metrics.jw[elems]))
+
+
+def engine_kernel(state_cg, disc, ra, const, ws=None):
+    """The engine's kernel on the whole mesh, as a worker calls it:
+    returns its node-major (n, n, E, n, 5) contributions, in ``ws``
+    (a fresh workspace by default)."""
+    gids, jg, jw = node_major_batch(disc)
+    E = disc.mesh.n_elements
+    if ws is None:
+        ws = RhsWorkspace.create(E, disc.ref.n_nodes)
+    return engine_contributions(
+        state_cg, gids, element_pressure(state_cg, gids, ra, const),
+        ra.cg[:, 0][gids], jg, jw, minus_weights(disc.ref, E), disc.ref,
+        const, ws)
 
 
 def apply_filter(state_cg, disc) -> np.ndarray:
     """Filter each element, then restore continuity by :func:`dss`; the
     state itself when the filter is off."""
-    num = disc.numbering
-    contrib = filter_contributions(state_cg, num.global_ids, disc.metrics.jw,
-                                   disc.ref)
-    return state_cg if contrib is None else dss(contrib, num)
+    gids, _, jw = node_major_batch(disc)
+    contrib = filter_contributions(state_cg, gids, jw, disc.ref)
+    return (state_cg if contrib is None
+            else dss(node_major(contrib), disc.numbering))
 
 
 def aos_filter_contributions(state_cg, gids, jw, ref) -> np.ndarray:
@@ -239,10 +275,10 @@ def aos_filter_contributions(state_cg, gids, jw, ref) -> np.ndarray:
     n = ref.n_nodes
     q = state_cg[gids].reshape(gids.shape[0], n, n, n, -1)
     scratch = np.empty_like(q)
-    contract(F, q, scratch, 0)
+    contract(F, q, scratch, 1)
     out = np.empty_like(q)
-    contract(F, scratch, out, 1)
-    contract(F, out, scratch, 2)
+    contract(F, scratch, out, 2)
+    contract(F, out, scratch, 3)
     return scratch * jw[..., None]
 
 
@@ -348,6 +384,12 @@ def parse_csv(text: str) -> dict:
         for lab, val in zip(labels, parts[1:]):
             out[inv[lab]][row] = float(val)
     return out
+
+
+def speed_squared(q) -> np.ndarray:
+    """Squared speed at each row of the conserved state ``q`` (points, 5)
+    as one reduction along the velocity axis."""
+    return np.sum((q[:, 1:4] / q[:, 0:1]) ** 2, axis=1)
 
 
 def write_theta_csv_rows(path, state, node_coords, theta0) -> None:

@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from sembox.reference_element import ReferenceElement, legendre
-from sembox.mesh import build_cg_numbering, compute_metrics, partition_columns
+from sembox.reference_element import ReferenceElement, gemm_chunks, legendre
+from sembox.mesh import (build_cg_numbering, compute_metrics, node_major,
+                         partition_columns)
 from sembox.perf_model import SCHEME_CG, SCHEME_DG
 from sembox.storage import N_VARS, ReferenceAtmosphere
 from sembox.dynamics import (
     Discretization, DivergedStateError, GasConstants, RhsWorkspace,
     StateValidityError, apply_boundary, element_pressure,
-    filter_contributions, pressure, rhs_element_contributions,
+    filter_contributions, pressure,
 )
 from sembox.harness import BubbleConfig, build_discretization, init_bubble
 
@@ -267,14 +268,13 @@ class TestContravariantKernel:
         state[:, 4] *= 1.0 + 0.01 * rng.standard_normal(state.shape[0])
         gids = disc.numbering.global_ids
         p_el = element_pressure(state, gids, ra, CONST)
-        got = rhs_element_contributions(
-            state, gids, p_el, ra.cg[:, 0][gids], disc.metrics.jg,
-            disc.metrics.jw, disc.ref, CONST,
-            RhsWorkspace.create(gids.shape[0], disc.ref.n_nodes))
+        got = oracles.engine_kernel(state, disc, ra, CONST)
+        assert got.flags.c_contiguous
+        got = node_major(got)
         want = oracles.rhs_element_contributions(
             state[gids], ra.cg[gids], disc.metrics, disc.ref, CONST,
             p_prime_el=p_el if scheme == SCHEME_CG else None)
-        assert got.shape == want.shape and got.flags.c_contiguous
+        assert got.shape == want.shape
         for v in range(N_VARS):
             scale = np.abs(want[..., v]).max()
             assert np.abs(got[..., v] - want[..., v]).max() < 1e-13 * scale
@@ -314,8 +314,9 @@ def perturbed_case(mapped, order, seed):
 
 
 class TestOneDirectionKernel:
-    """The one-direction kernel against the direction-major oracle, byte
-    for byte; its result lives in the workspace."""
+    """The one-direction node-major kernel against the element-major
+    direction-major oracle, byte for byte once turned element-major; its
+    result lives in the workspace."""
 
     @staticmethod
     def both(disc, state, ra, ws):
@@ -323,7 +324,7 @@ class TestOneDirectionKernel:
         args = (state, gids, element_pressure(state, gids, ra, CONST),
                 ra.cg[:, 0][gids], disc.metrics.jg, disc.metrics.jw,
                 disc.ref, CONST)
-        return (rhs_element_contributions(*args, ws),
+        return (oracles.engine_kernel(state, disc, ra, CONST, ws),
                 oracles.direction_major_contributions(*args))
 
     @pytest.mark.parametrize("mapped", [False, True])
@@ -332,19 +333,45 @@ class TestOneDirectionKernel:
         disc, state, ra = perturbed_case(mapped, order, seed=order)
         ws = RhsWorkspace.create(disc.mesh.n_elements, disc.ref.n_nodes)
         got, want = self.both(disc, state, ra, ws)
-        assert got.shape == want.shape and got.flags.c_contiguous
-        assert got.tobytes() == want.tobytes()
+        assert got.flags.c_contiguous
+        assert node_major(got).shape == want.shape
+        assert node_major(got).tobytes() == want.tobytes()
 
     def test_next_call_on_the_workspace_overwrites_the_result(self):
         disc, state, ra = perturbed_case(False, 3, seed=5)
         ws = RhsWorkspace.create(disc.mesh.n_elements, disc.ref.n_nodes)
         first, want_first = self.both(disc, state, ra, ws)
-        assert first.tobytes() == want_first.tobytes()
+        assert node_major(first).tobytes() == want_first.tobytes()
         _, other, _ = perturbed_case(False, 3, seed=6)
         second, want_second = self.both(disc, other, ra, ws)
-        assert second.tobytes() == want_second.tobytes()
+        assert node_major(second).tobytes() == want_second.tobytes()
         assert np.shares_memory(first, ws.flux)
-        assert first.tobytes() == second.tobytes() != want_first.tobytes()
+        assert (node_major(first).tobytes() == node_major(second).tobytes()
+                != want_first.tobytes())
+
+
+class TestNodeMajorGemms:
+    def test_the_default_bubble_takes_ninety_gemms_a_call(self,
+                                                          recorded_gemms):
+        # 8x8x10 at p = 3: x as row GEMMs over every variable, y as one
+        # product per variable, z one per variable and y slab, each in
+        # chunks of at most GEMM_ROWS; element-major batches took one GEMM
+        # per element and node for y and z, 25,600 a call
+        cfg = BubbleConfig()
+        disc = build_discretization(cfg)
+        state, ra = init_bubble(cfg, disc, CONST)
+        E, n = disc.mesh.n_elements, disc.ref.n_nodes
+        rows = N_VARS * E * n ** 3 // n
+        want = (len(gemm_chunks(rows)) + N_VARS * len(gemm_chunks(rows // 5))
+                + N_VARS * n * len(gemm_chunks(E * n)))
+        assert want == 90
+        gids, _, jw = oracles.node_major_batch(disc)
+        recorded_gemms.clear()      # set-up's own contractions
+        oracles.engine_kernel(state, disc, ra, CONST)
+        assert len(recorded_gemms) == want
+        recorded_gemms.clear()
+        filter_contributions(state, gids, jw, disc.ref)
+        assert len(recorded_gemms) == want
 
 
 class TestFilterApplication:
@@ -362,10 +389,13 @@ class TestFilterApplication:
             slice(part.elem_start, part.elem_stop)
             for k in (2, 3) for part in partition_columns(disc.mesh, k)]
         for sl in batches:
-            got = filter_contributions(state, gids[sl], jw[sl], disc.ref)
+            gids_nm, _, jw_nm = oracles.node_major_batch(disc, sl)
+            got = filter_contributions(state, gids_nm, jw_nm, disc.ref)
             want = oracles.aos_filter_contributions(state, gids[sl], jw[sl],
                                                     disc.ref)
-            assert got.shape == want.shape and got.flags.c_contiguous
+            assert got.flags.c_contiguous
+            got = node_major(got)
+            assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
     def test_zero_strength_bitwise_identity(self):

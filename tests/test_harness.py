@@ -14,7 +14,7 @@ from sembox.storage import read_snapshot
 from sembox.time_integration import TimestepControl, compute_dt, rk_step
 
 from oracles import (apply_filter, create_rhs, hydrostatic_residual,
-                     write_theta_csv_rows)
+                     speed_squared, write_theta_csv_rows)
 
 CONST = GasConstants()
 
@@ -180,6 +180,18 @@ class TestRunBubble:
         write_theta_csv_rows(tmp_path / "rows.csv", state, coords, cfg.theta0)
         assert ((tmp_path / "theta.csv").read_bytes()
                 == (tmp_path / "rows.csv").read_bytes())
+
+    def test_speed_squared_equals_the_one_reduction_bytes(self):
+        # density and momentum over ten decades, momentum of either sign
+        # and with signed zeros; the diagnostics' column sum must give the
+        # bytes of the reduction along the velocity axis
+        rng = np.random.default_rng(20)
+        for _ in range(20):
+            q = rng.standard_normal((19375, 5)) * 10.0 ** rng.uniform(
+                -5.0, 5.0, (19375, 5))
+            q[rng.random(q.shape) < 0.05] = -0.0
+            q[:, 0] = 10.0 ** rng.uniform(-5.0, 5.0, 19375)
+            assert harness._speed2(q).tobytes() == speed_squared(q).tobytes()
 
     def test_diagnostics_csv_schema(self, small_run):
         report, _ = small_run

@@ -13,10 +13,12 @@ import pytest
 
 from sembox import harness
 from sembox.dynamics import (GasConstants, RhsWorkspace, element_pressure,
-                             rhs_element_contributions)
+                             minus_weights, rhs_element_contributions)
 from sembox.harness import (BubbleConfig, build_discretization, init_bubble,
                             run_bubble)
 from sembox.storage import N_VARS
+
+from oracles import node_major_batch
 
 CONST = GasConstants()
 MiB = 2 ** 20
@@ -72,11 +74,11 @@ def test_kernel_call_raises_memory_by_one_gather(bubble):
     # gravity source (g * jw, rho - rho_bar, their product); the result
     # lives in the workspace, so the call leaves no array behind
     disc, state, ra = bubble
-    gids = disc.numbering.global_ids
-    E, n = gids.shape[0], disc.ref.n_nodes
+    gids, jg, jw = node_major_batch(disc)
+    E, n = disc.mesh.n_elements, disc.ref.n_nodes
     m = E * n ** 3
     args = (state, gids, element_pressure(state, gids, ra, CONST),
-            ra.cg[:, 0][gids], disc.metrics.jg, disc.metrics.jw, disc.ref,
+            ra.cg[:, 0][gids], jg, jw, minus_weights(disc.ref, E), disc.ref,
             CONST, RhsWorkspace.create(E, n))
     rhs_element_contributions(*args)
     bound = 8 * (N_VARS * m + state.size + 3 * E * n ** 3)

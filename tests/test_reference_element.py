@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from sembox.reference_element import (
-    ReferenceElement, InvalidOrderError, boyd_vandeven_damping,
-    default_filter_cutoff, diff_matrix, filter_matrix, legendre,
-    legendre_vandermonde, lobatto_points,
+    GEMM_ROWS, ReferenceElement, InvalidOrderError, boyd_vandeven_damping,
+    contract, default_filter_cutoff, diff_matrix, filter_matrix, gemm_chunks,
+    legendre, legendre_vandermonde, lobatto_points,
 )
 from oracles import lagrange_eval
 
@@ -225,14 +225,14 @@ for p in range(1, 7):
     for A in (ref.diff_matrix, basis):
         m, k = A.shape
         src = rng.standard_normal((rows, k))
-        whole = contract(A, src, np.empty((rows, m)), 0)
+        whole = contract(A, src, np.empty((rows, m)), 1)
         if not np.array_equal(whole, src @ np.ascontiguousarray(A.T)):
             print(p, k, "one GEMM")
         for start in (0, 1, 3, GEMM_ROWS - 1, GEMM_ROWS + 1):
             for length in (2, 5, GEMM_ROWS - 1, GEMM_ROWS, GEMM_ROWS + 1,
                            2 * GEMM_ROWS + 1, rows):
                 part = src[start:start + length]
-                got = contract(A, part, np.empty((len(part), m)), 0)
+                got = contract(A, part, np.empty((len(part), m)), 1)
                 if not np.array_equal(got, whole[start:start + length]):
                     print(p, k, start, length)
 print("checked")
@@ -250,3 +250,100 @@ def test_trailing_contraction_rows_do_not_depend_on_the_slice(
     proc = run_python(SLICE_SCRIPT, OPENBLAS_NUM_THREADS=threads)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n")[0] == "checked", proc.stdout
+
+
+# the leading-axis twin of SLICE_SCRIPT: column slices of A @ S, with S
+# (k, N) the node-major batch a y or z contraction multiplies, against the
+# whole product, and the whole product against the per-element batched
+# products an element-major batch runs (along y one (n, n) GEMM per
+# element and z, along z one (n, n^2) GEMM per element), for p = 1..7 and
+# for D and the filter matrix; slices start inside and at the ends of
+# GEMM_ROWS chunks, as views of S and as copies; prints every (p, matrix,
+# axis, start, length) whose columns differ in any bit; run in a
+# subprocess by the run_python fixture (conftest.py)
+COLUMN_SCRIPT = """
+import numpy as np
+from sembox.reference_element import GEMM_ROWS, ReferenceElement, contract
+
+rng = np.random.default_rng(12)
+for p in range(1, 8):
+    ref = ReferenceElement.create(p)
+    n = p + 1
+    E = -(-(3 * GEMM_ROWS + 5) // n ** 2)
+    cols = E * n * n
+    for name, A in (("D", ref.diff_matrix), ("filter", ref.filter_matrix)):
+        el = rng.standard_normal((E, n, n, n))           # [element, z, y, x]
+        # along y: columns (z, E, x), node-major; along z: columns (y, E, x)
+        per_element = {
+            "y": np.matmul(A, el.reshape(E * n, n, n)).reshape(E, n, n, n)
+                 .transpose(2, 1, 0, 3),
+            "z": np.matmul(A, el.reshape(E, n, n * n)).reshape(E, n, n, n)
+                 .transpose(1, 2, 0, 3),
+        }
+        batches = {"y": el.transpose(2, 1, 0, 3), "z": el.transpose(1, 2, 0, 3)}
+        for axis, batch in batches.items():
+            S = np.ascontiguousarray(batch).reshape(n, cols)
+            whole = contract(A, S, np.empty((n, cols)), 0)
+            if not np.array_equal(whole, A @ S):
+                print(p, name, axis, "one GEMM")
+            if not np.array_equal(whole, per_element[axis].reshape(n, cols)):
+                print(p, name, axis, "per element")
+            for start in (0, 1, 3, GEMM_ROWS - 1, GEMM_ROWS + 1):
+                for length in (2, 5, GEMM_ROWS - 1, GEMM_ROWS, GEMM_ROWS + 1,
+                               cols):
+                    view = S[:, start:start + length]
+                    for part in (view, view.copy()):
+                        got = contract(A, part, np.empty(part.shape), 0)
+                        if not np.array_equal(got,
+                                              whole[:, start:start + length]):
+                            print(p, name, axis, start, length)
+print("checked")
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_leading_contraction_columns_do_not_depend_on_the_slice(
+        run_python, threads):
+    """Along a leading axis every output column is the same bits as the
+    element's own small GEMM gives it, whatever columns share the
+    product, at either OpenBLAS thread count: the kernel's y and z
+    derivatives and the filter rely on it for partition invariance and
+    for the bits of the element-major kernel they replaced."""
+    proc = run_python(COLUMN_SCRIPT, OPENBLAS_NUM_THREADS=threads)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[0] == "checked", proc.stdout
+
+
+@pytest.mark.parametrize("length", [
+    1, 2, 3, GEMM_ROWS - 1, GEMM_ROWS, GEMM_ROWS + 1, GEMM_ROWS + 2,
+    2 * GEMM_ROWS, 2 * GEMM_ROWS + 1, 3 * GEMM_ROWS + 5, 10240])
+def test_gemm_chunks_cover_the_length_in_bounded_chunks(length):
+    """Rows and columns share one chunk rule: consecutive chunks that
+    cover the length, at most GEMM_ROWS each (the pool's bound), as few
+    as that allows, and none one wide (numpy's matrix-vector path) unless
+    the whole length is 1."""
+    chunks = gemm_chunks(length)
+    starts, stops = zip(*chunks)
+    assert starts[0] == 0 and stops[-1] == length
+    assert list(starts[1:]) == list(stops[:-1])
+    widths = [b - a for a, b in chunks]
+    assert max(widths) <= GEMM_ROWS
+    assert min(widths) >= min(2, length)
+    assert len(chunks) == -(-length // GEMM_ROWS)
+
+
+@pytest.mark.parametrize("axis,products,width", [
+    (0, 1, 7 * 128 * 7), (1, 7, 128 * 7), (3, 1, 7 * 7 * 128)],
+    ids=["y", "z", "x"])
+def test_contract_chunks_rows_and_columns(recorded_gemms, axis, products,
+                                          width):
+    """A node-major batch (y, z, E, x) at p = 6 over 128 elements: y is
+    one product over all its columns, z one per y slab, x one set of row
+    GEMMs; each in chunks of at most GEMM_ROWS columns or rows, so no
+    GEMM reaches the thread pool's size (see GEMM_ROWS)."""
+    ref = ReferenceElement.create(6)
+    src = np.random.default_rng(3).standard_normal((7, 7, 128, 7))
+    contract(ref.diff_matrix, src, np.empty_like(src), axis)
+    assert len(recorded_gemms) == products * len(gemm_chunks(width))
+    assert all(m * n * k <= GEMM_ROWS * 7 * 7
+               for m, n, k in recorded_gemms)

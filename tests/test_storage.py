@@ -6,13 +6,13 @@ import pytest
 
 from sembox.reference_element import ReferenceElement
 from sembox.mesh import (build_box_mesh, build_cg_numbering, compute_metrics,
-                         partition_columns)
+                         node_major, partition_columns)
 from sembox import storage
 from sembox.storage import (
     N_VARS, Mailboxes, MessageLost, NeighborStopped, PartitionLayout,
     ProtocolError, halo_exchange, read_snapshot, write_snapshot,
 )
-from oracles import accumulate_by_color, dss
+from oracles import accumulate_by_color, dss, node_major_contrib
 
 
 @pytest.fixture(scope="module")
@@ -31,9 +31,11 @@ def weighted(cg, metrics, numbering, mesh):
 
 
 def assemble(contrib, mesh, numbering):
-    """The engine's assembly of the whole mesh: one-partition exchange."""
+    """The engine's assembly of the whole mesh: one-partition exchange of
+    the element-major ``contrib``, handed over node-major."""
     layout = PartitionLayout(mesh, numbering, partition_columns(mesh, 1))
-    return halo_exchange(layout, [contrib])[0]
+    return halo_exchange(
+        layout, [node_major_contrib(contrib, numbering.order)])[0]
 
 
 class TestScatterDss:
@@ -105,7 +107,7 @@ import numpy as np
 from sembox.reference_element import ReferenceElement
 from sembox.mesh import build_box_mesh, build_cg_numbering, partition_columns
 from sembox.storage import N_VARS, PartitionLayout, halo_exchange
-from oracles import dss
+from oracles import dss, node_major_contrib
 
 mesh = build_box_mesh(4, 4, 3, 1000.0, 1000.0, 1000.0)
 num = build_cg_numbering(mesh, ReferenceElement.create(3))
@@ -115,8 +117,8 @@ contrib = np.random.default_rng(7).standard_normal((mesh.n_elements, 64, N_VARS)
 serial = dss(contrib, num)
 sys.setswitchinterval(1e-6)
 for _ in range(50):
-    outs = halo_exchange(layout, [contrib[p.elem_start:p.elem_stop]
-                                  for p in parts])
+    outs = halo_exchange(layout, [node_major_contrib(
+        contrib[p.elem_start:p.elem_stop], 3) for p in parts])
     assert all(np.array_equal(out, serial[plan.own_gids])
                for out, plan in zip(outs, layout.plans))
 print("identical")
@@ -139,8 +141,8 @@ class TestPartitionedAssembly:
         layout = PartitionLayout(mesh, num, parts)
         for c in (contrib, signed_zeros):
             serial = dss(c, num)
-            outs = halo_exchange(layout, [c[p.elem_start:p.elem_stop]
-                                          for p in parts])
+            outs = halo_exchange(layout, [node_major_contrib(
+                c[p.elem_start:p.elem_stop], order) for p in parts])
             for t, out in enumerate(outs):
                 own = layout.plans[t].own_gids
                 assert out.tobytes() == serial[own].tobytes()
@@ -161,8 +163,8 @@ class TestPartitionedAssembly:
         contrib = rng.standard_normal((mesh.n_elements, 64, N_VARS))
         parts = partition_columns(mesh, 4)
         layout = PartitionLayout(mesh, num, parts)
-        outs = halo_exchange(layout, [contrib[p.elem_start:p.elem_stop]
-                                      for p in parts])
+        outs = halo_exchange(layout, [node_major_contrib(
+            contrib[p.elem_start:p.elem_stop], 3) for p in parts])
         plans = layout.plans
         for t in range(4):
             for u in range(t + 1, 4):
@@ -251,19 +253,24 @@ class TestAssemblyPlan:
         for num in restricted_numberings(order, n_parts):
             c = rng.standard_normal((*num.global_ids.shape, N_VARS))
             c = np.where(rng.random(c.shape) < 0.3, -0.0, c)
-            assert (storage._accumulate(c, num.assembly_plan).tobytes()
+            assert (storage._accumulate(node_major_contrib(c, order),
+                                        num.assembly_plan).tobytes()
                     == accumulate_by_color(c, num).tobytes())
 
     @pytest.mark.parametrize("n_parts", [1, 2, 4])
     @pytest.mark.parametrize("order", [1, 3, 5])
     def test_chunks_are_ranks_in_color_order(self, order, n_parts):
+        n = order + 1
         for num in restricted_numberings(order, n_parts):
+            # the plan indexes node-major rows (mesh.node_major)
             point_pos, chunks = num.assembly_plan
-            gids = num.global_ids.ravel()
+            shape = (num.global_ids.shape[0], n, n, n)
+            gids = node_major(num.global_ids.reshape(shape)).ravel()
             color = np.empty(num.global_ids.shape[0], dtype=np.int64)
             for c, batch in enumerate(num.color_batches):
                 color[batch] = c
-            color = np.repeat(color, num.n_node_per_elem)
+            color = node_major(np.repeat(color, num.n_node_per_elem)
+                               .reshape(shape)).ravel()
             count = np.bincount(gids, minlength=num.n_unique)
             assert np.array_equal(np.sort(np.concatenate(chunks)),
                                   np.arange(gids.size))
