@@ -259,24 +259,28 @@ def node_major(a: np.ndarray, axis: int = 0) -> np.ndarray:
     return np.ascontiguousarray(np.swapaxes(a, axis, axis + 2))
 
 
+def node_major_rows(E: int, n: int) -> np.ndarray:
+    """Row in node-major order (:func:`node_major`) of each element node
+    of an E-element batch, by its flat element-major id
+    ``element * n^3 + node``."""
+    return node_major(np.arange(E * n ** 3).reshape(n, n, E, n)).ravel()
+
+
 # ---------------------------------------------------------------------------
 # Continuous-Galerkin numbering
 # ---------------------------------------------------------------------------
 
 @dataclass
 class CgNumbering:
-    """Unique grid-point ids, assembled mass, and the element coloring.
+    """Unique grid-point ids and the assembled mass.
 
     Coincident nodes are identified by exact integer lattice coordinates
     (element index * p + local index), so no geometric snap tolerance is
-    involved.  ``color_batches`` groups elements into eight parity classes
-    such that no two elements of a class share a grid point; batch order
-    defines the canonical summation order of the assembly.
-    :meth:`entry_rank` gives each element node's place in that order at
-    its point, and :attr:`assembly_plan` runs it as dense rank-by-rank
-    adds over node-major contributions.  ``lattice_dims`` describes the
-    whole mesh; a partition's numbering (:meth:`restrict`) keeps it, so
-    there ``n_unique`` is smaller than its product.
+    involved.  The assembly sums each point's entries in ascending
+    element id; :attr:`assembly_plan` runs that order as dense
+    rank-by-rank adds over node-major contributions.  ``lattice_dims``
+    describes the whole mesh; a partition's numbering (:meth:`restrict`)
+    keeps it, so there ``n_unique`` is smaller than its product.
     """
 
     order: int
@@ -286,45 +290,31 @@ class CgNumbering:
     mass: np.ndarray            # (n_unique,)
     inv_mass: np.ndarray        # (n_unique,)
     node_coords: np.ndarray     # (n_unique, 3)
-    color_batches: list = field(repr=False, default_factory=list)
     boundary_ids: dict = field(repr=False, default_factory=dict)
 
     @property
     def n_node_per_elem(self) -> int:
         return (self.order + 1) ** 3
 
-    def entry_rank(self) -> np.ndarray:
-        """Rank of each element node (by flat id ``elem * n^3 + node``)
-        at its point: its place in color order among the nodes there."""
-        nn = self.n_node_per_elem
-        gids = self.global_ids.ravel()
-        count = np.zeros(self.n_unique, dtype=np.int64)
-        rank = np.empty(gids.size, dtype=np.int64)
-        for batch in self.color_batches:
-            ids = (batch[:, None] * nn + np.arange(nn)).ravel()
-            tgt = gids[ids]
-            rank[ids] = count[tgt]
-            count[tgt] += 1            # a batch touches each point once
-        return rank
-
     @cached_property
     def assembly_plan(self) -> tuple[np.ndarray, list]:
-        """:func:`rank_major_plan` of every element node, by its row in
-        node-major order (:func:`node_major`), the order the element
-        kernels write their contributions in.  Built on first use."""
-        shape = (self.global_ids.shape[0],) + (self.order + 1,) * 3
-        rows = [node_major(ids.reshape(shape)).ravel()
-                for ids in (self.global_ids, self.entry_rank())]
-        return rank_major_plan(*rows, self.n_unique)
+        """:func:`rank_major_plan` of every element node in element order,
+        each entry given by its row in node-major order
+        (:func:`node_major_rows`), the order the element kernels write
+        their contributions in.  Built on first use."""
+        point_pos, chunks = rank_major_plan(self.global_ids.ravel(),
+                                            self.n_unique)
+        rows = node_major_rows(self.global_ids.shape[0], self.order + 1)
+        return point_pos, [rows[chunk] for chunk in chunks]
 
     def restrict(self, start: int, stop: int):
         """Numbering of the points elements [start, stop) touch.
 
         Returns (local numbering, global id of each local point).  Local
-        ids follow ascending global order; element ids, color batches and
-        boundary ids are local, and mass and coordinates are the global
-        ones at those points.  ``lattice_dims`` stays the whole mesh's.
-        The whole mesh returns ``self``.
+        ids follow ascending global order; element ids and boundary ids
+        are local, and mass and coordinates are the global ones at those
+        points.  ``lattice_dims`` stays the whole mesh's.  The whole mesh
+        returns ``self``.
         """
         if start == 0 and stop == self.global_ids.shape[0]:
             return self, np.arange(self.n_unique)
@@ -335,8 +325,6 @@ class CgNumbering:
             global_ids=local.reshape(stop - start, -1),
             mass=self.mass[own], inv_mass=self.inv_mass[own],
             node_coords=self.node_coords[own],
-            color_batches=[b[(b >= start) & (b < stop)] - start
-                           for b in self.color_batches],
             boundary_ids={axis: np.flatnonzero(np.isin(own, ids))
                           for axis, ids in self.boundary_ids.items()},
         ), own
@@ -369,6 +357,10 @@ def build_cg_numbering(mesh: ColumnMesh, ref: ReferenceElement,
     gy = p * cj[:, None, None, None] + loc[None, None, :, None]
     gz = p * ck[:, None, None, None] + loc[None, :, None, None]
     gids = (gx + gpx * (gy + gpy * gz)).reshape(mesh.n_elements, n ** 3)
+    # an element's first node names its lattice cell; bincount, not
+    # np.unique, which imports numpy.ma (1.6 MiB of resident memory)
+    if np.bincount(gids[:, 0]).max() > 1:
+        raise MeshError("two elements occupy one lattice cell")
 
     n_unique = gpx * gpy * gpz
     mass = np.zeros(n_unique)
@@ -379,12 +371,6 @@ def build_cg_numbering(mesh: ColumnMesh, ref: ReferenceElement,
     node_coords = np.empty((n_unique, 3))
     for d in range(3):                 # coords is stored direction-major
         node_coords[gids.ravel(), d] = metrics.coords[..., d].ravel()
-
-    color = ((ci & 1) + 2 * (cj & 1) + 4 * (ck & 1)).astype(np.int64)
-    batches = [np.flatnonzero(color == c) for c in range(8)]
-    for batch in batches:
-        if np.bincount(gids[batch].ravel(), minlength=n_unique).max() > 1:
-            raise MeshError("element coloring does not separate shared grid points")
 
     boundary = {}
     for axis in range(3):              # the two lattice planes normal to axis
@@ -397,26 +383,28 @@ def build_cg_numbering(mesh: ColumnMesh, ref: ReferenceElement,
     return CgNumbering(
         order=p, lattice_dims=(gpx, gpy, gpz), n_unique=n_unique,
         global_ids=gids, mass=mass, inv_mass=1.0 / mass,
-        node_coords=node_coords, color_batches=batches,
-        boundary_ids=boundary,
+        node_coords=node_coords, boundary_ids=boundary,
     )
 
 
-def rank_major_plan(points: np.ndarray, rank: np.ndarray,
+def rank_major_plan(points: np.ndarray,
                     n_points: int) -> tuple[np.ndarray, list]:
     """(point_pos, chunks): entries grouped by rank for a rank-by-rank sum.
 
-    Entry i sits at point ``points[i]`` with rank ``rank[i]`` there, and
-    every point holds one entry of each rank below its entry count.
-    Points are sorted by that count, most first (stable), and
-    ``point_pos`` is each point's place in that order.  ``chunks[r]``
-    holds the indices of the rank-r entries in ``point_pos`` order: one
-    per point with more than r entries, so each chunk covers a prefix of
-    the sorted points.
+    Entry i sits at point ``points[i]``; its rank there is its place in
+    the array among the entries at that point, so a rank-by-rank sum
+    adds each point's entries in array order.  Points are sorted by
+    their entry count, most first (stable), and ``point_pos`` is each
+    point's place in that order.  ``chunks[r]`` holds the indices of the
+    rank-r entries in ``point_pos`` order: one per point with more than
+    r entries, so each chunk covers a prefix of the sorted points.
     """
     count = np.bincount(points, minlength=n_points)
     point_pos = np.empty(n_points, dtype=np.intp)
     point_pos[np.argsort(-count, kind="stable")] = np.arange(n_points)
+    rank = np.empty(points.size, dtype=np.intp)
+    rank[np.argsort(points, kind="stable")] = (
+        np.arange(points.size) - np.repeat(np.cumsum(count) - count, count))
     start = np.concatenate(([0], np.cumsum(np.bincount(rank))))
     entries = np.empty(points.size, dtype=np.intp)
     entries[start[rank] + point_pos[points]] = np.arange(points.size)

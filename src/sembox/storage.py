@@ -9,20 +9,21 @@ rho*w, Theta):
 
 Assembly (DSS) sums the weighted per-element contributions at every
 grid point and multiplies by the inverse of the diagonal mass matrix.
-The summation follows one canonical order everywhere -- ascending
-(element color, element id) -- so runs with different partition counts
-produce bit-identical results.  A contribution's rank is its place in
-that order at its point (:meth:`CgNumbering.entry_rank`), and one kernel
-sums them rank by rank from +0.0 (:func:`_accumulate` over a
-:func:`~sembox.mesh.rank_major_plan`: one gather per rank, added into
-the prefix of points that have that rank).  It runs over a partition's
-own elements and over the contributions at nodes shared between
-partitions: those are serialized in element order and exchanged raw
-(one value per contributing element), each keeping its rank in the whole
-mesh.  The contributions come as the element kernels write them,
-node-major (:func:`~sembox.mesh.node_major`), (p+1, p+1, E, p+1, 5):
-the own-point plan (:attr:`CgNumbering.assembly_plan`) and the
-serialization index their rows.
+Every point sums its entries in ascending global element id from +0.0,
+so every partition count gives the same bits.  One kernel sums them
+rank by rank, a rank being an entry's place in that order at its point
+(:func:`_accumulate` over a :func:`~sembox.mesh.rank_major_plan`: one
+gather per rank, added into the prefix of points that have that rank),
+over a partition's own elements and over the contributions at points
+shared between partitions.  Partitions are contiguous element ranges
+that serialize their shared contributions in element order and exchange
+them raw (one value per contributing element); the fold takes the
+messages from lower partitions, its own serialization, then those from
+higher partitions: global element order at every shared point.  The
+contributions come node-major, as the element kernels write them
+(:func:`~sembox.mesh.node_major`, (p+1, p+1, E, p+1, 5)); the own-point
+plan (:attr:`CgNumbering.assembly_plan`) and the serialization index
+take their rows from :func:`~sembox.mesh.node_major_rows`.
 
 :meth:`PartitionLayout.exchange` is the engine's one assembly (serial is
 its one-partition case),
@@ -45,7 +46,7 @@ import threading
 
 import numpy as np
 
-from .mesh import (ColumnMesh, CgNumbering, Partition, node_major,
+from .mesh import (ColumnMesh, CgNumbering, Partition, node_major_rows,
                    rank_major_plan)
 
 N_VARS = 5
@@ -80,8 +81,8 @@ class _PartPlan:
 
     The partition's entries at shared points (one per element node there)
     are serialized in element order; ``fold_plan`` sums them with the
-    received ones, in ``recv_len`` order, rank by rank at each shared
-    point, with each entry's rank taken from the whole mesh.
+    received ones rank by rank at each shared point, lower partitions'
+    messages first and higher ones' last: global element order.
     """
 
     elem_start: int
@@ -94,7 +95,7 @@ class _PartPlan:
                                    # (node-major), in element order
     msg_send: dict = field(default_factory=dict)  # u -> serialization index
     recv_len: dict = field(default_factory=dict)  # s -> entries s sends
-    fold_plan: tuple | None = None  # rank_major_plan of own + received entries
+    fold_plan: tuple | None = None  # rank_major_plan of the fold's entries
 
 
 class PartitionLayout:
@@ -106,9 +107,9 @@ class PartitionLayout:
     order; a halo message to a neighbor is a sub-slice of that
     serialization, so send and receive sides agree on the layout by
     construction.  The fold sums own and received entries rank by rank
-    from +0.0 (:class:`_PartPlan`), with ranks from the whole mesh's
-    color order, so every partition count, one included, sums each
-    point in the same order and gives the same bits.
+    from +0.0 in global element order (:class:`_PartPlan`), the order
+    the own-point plan sums in too, so every partition count, one
+    included, sums each point in the same order and gives the same bits.
     """
 
     def __init__(self, mesh: ColumnMesh, numbering: CgNumbering,
@@ -145,27 +146,26 @@ class PartitionLayout:
 
         # the serialization keeps element order and indexes the rows of
         # the node-major contributions (one partition has none to index)
-        n = numbering.order + 1
         self.plans = []
         for part, (num, own), first, m in zip(parts, local, owned, mine):
             ser = entries[m] - part.elem_start * nn
             if ser.size:
-                E = part.n_elements
-                row = node_major(np.arange(E * nn).reshape(n, n, E, n))
-                ser = row.ravel()[ser]
+                ser = node_major_rows(part.n_elements, num.order + 1)[ser]
             self.plans.append(_PartPlan(
                 elem_start=part.elem_start, elem_stop=part.elem_stop,
                 numbering=num, own_gids=own, owned=first,
                 shared=np.flatnonzero(is_shared[own]), ser_idx=ser))
 
-        rank = numbering.entry_rank()[entries] if entries.size else entries
         n_at = np.bincount(point)      # the whole mesh's entries per point
         for u, plan in enumerate(self.plans):
             # t sends u the entries of its serialization at points u
-            # touches; both sides derive the same slice
-            k = [mine[u]]
+            # touches; both sides derive the same slice.  The fold takes
+            # them in partition order, u's own in its place, so each
+            # point's entries come in global element order
+            k = []
             for t, src in enumerate(self.plans):
                 if t == u:
+                    k.append(mine[u])
                     continue
                 sel = np.flatnonzero(np.isin(point[mine[t]], plan.own_gids))
                 if sel.size:
@@ -177,20 +177,17 @@ class PartitionLayout:
             k = np.concatenate(k)
             at = plan.own_gids[plan.shared]
             slot = np.searchsorted(at, point[k])
-            # own and received entries hold each rank below the whole
-            # mesh's count at every shared point exactly once
-            held = np.arange(n_at[at].max())[:, None] < n_at[at]
-            if not np.array_equal(np.bincount(rank[k] * at.size + slot,
-                                              minlength=held.size),
-                                  held.ravel()):
+            if not np.array_equal(np.bincount(slot, minlength=at.size),
+                                  n_at[at]):
                 raise ProtocolError(f"partition {u}: own and received entries "
-                                    "do not hold each rank once")
-            plan.fold_plan = rank_major_plan(slot, rank[k], at.size)
+                                    "do not hold the whole mesh's entries "
+                                    "at each shared point")
+            plan.fold_plan = rank_major_plan(slot, at.size)
 
     # -- runtime pieces ----------------------------------------------------
 
     def accumulate_own(self, t: int, contrib: np.ndarray) -> np.ndarray:
-        """Color-order accumulation of partition t's contributions."""
+        """Element-order sum of partition t's contributions at its points."""
         return _accumulate(contrib, self.plans[t].numbering.assembly_plan)
 
     def serialize_shared(self, t: int, contrib: np.ndarray) -> np.ndarray:
@@ -203,7 +200,7 @@ class PartitionLayout:
 
     def fold_shared(self, t: int, acc: np.ndarray, ser: np.ndarray,
                     received: dict[int, np.ndarray]) -> None:
-        """Overwrite acc at t's shared points with the canonical full sum."""
+        """Overwrite acc at t's shared points with their element-order sum."""
         plan = self.plans[t]
         if plan.fold_plan is None:     # one partition: nothing is shared
             return
@@ -215,7 +212,8 @@ class PartitionLayout:
                     f"{None if got is None else got.shape[0]} entries, "
                     f"expected {n}")
         acc[plan.shared] = _accumulate(
-            np.concatenate([ser, *(received[u] for u in plan.recv_len)]),
+            np.concatenate([ser if u == t else received[u]
+                            for u in sorted([*plan.recv_len, t])]),
             plan.fold_plan)
 
     def exchange(self, t: int, contrib: np.ndarray,

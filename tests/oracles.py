@@ -23,12 +23,13 @@ Serial operators: the engine assembles only through
 ``PartitionLayout.exchange`` (serial is its one-partition case).  The
 serial right-hand side, filter and direct stiffness summation here run
 the engine's element kernels on the whole mesh and assemble them with
-the color-batch loop, the canonical summation order by definition; the
-partitioned runs must match them bit for bit.  The engine's kernels
-take and return node-major batches (``mesh.node_major``): the helpers
-here hand them the whole mesh as a worker holds its partition and turn
-their contributions back to element-major with the same swap; every
-reference here stays element-major.  The filter's reference
+a loop over the elements in ascending id, the canonical summation order
+by definition; the partitioned runs must match them bit for bit.  The
+engine's kernels take and return node-major batches
+(``mesh.node_major``): the helpers here hand them the whole mesh as a
+worker holds its partition and turn their contributions back to
+element-major with the same swap; every reference here stays
+element-major.  The filter's reference
 is the array-of-structures form the engine replaced: a gathered
 (E, n, n, n, 5) copy filtered along z, y and x, then weighted; the
 engine's structure-of-arrays filter must give the same bytes.
@@ -189,14 +190,15 @@ def direction_major_contributions(state_cg, gids, p_prime_el, rho_bar_el,
     return contrib
 
 
-def accumulate_by_color(contrib, numbering) -> np.ndarray:
-    """Per-point sum of element contributions, one scatter-add per color
-    batch in color order from +0.0: the canonical order by definition."""
+def accumulate_by_element(contrib, numbering) -> np.ndarray:
+    """Per-point sum of element contributions, one scatter-add per
+    element in ascending element id from +0.0: the canonical order by
+    definition (an element touches each point once)."""
     nv = contrib.shape[-1]
     acc = np.zeros((numbering.n_unique, nv))
     flat = contrib.reshape(numbering.global_ids.shape[0], -1, nv)
-    for batch in numbering.color_batches:
-        acc[numbering.global_ids[batch].ravel()] += flat[batch].reshape(-1, nv)
+    for e, ids in enumerate(numbering.global_ids):
+        acc[ids] += flat[e]
     return acc
 
 
@@ -209,8 +211,8 @@ def node_major_contrib(contrib, order) -> np.ndarray:
 
 def dss(contrib, numbering) -> np.ndarray:
     """Serial direct stiffness summation of J*w-weighted DG-layout
-    contributions: the color-batch sum times the inverse mass."""
-    return accumulate_by_color(contrib, numbering) * numbering.inv_mass[:, None]
+    contributions: the element-order sum times the inverse mass."""
+    return accumulate_by_element(contrib, numbering) * numbering.inv_mass[:, None]
 
 
 def create_rhs(state_cg, disc, const, ra, scheme=SCHEME_CG) -> np.ndarray:

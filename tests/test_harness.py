@@ -1,3 +1,4 @@
+import hashlib
 import os
 import time
 
@@ -10,6 +11,7 @@ from sembox.harness import (
     BubbleConfig, ConfigError, build_discretization, init_bubble, run_bubble,
     scale_csv, scale_experiment, scale_table, strong_scaling_efficiency,
 )
+from sembox.mesh import partition_columns
 from sembox.storage import read_snapshot
 from sembox.time_integration import TimestepControl, compute_dt, rk_step
 
@@ -120,6 +122,21 @@ class TestRunBubble:
         for T in (2, 4):
             _, stateT = run_bubble(BubbleConfig(**SMALL), n_partitions=T)
             assert np.array_equal(state1, stateT)
+
+    def test_partition_invariance_at_odd_worker_counts(self):
+        # on 4x4x3, partition 1 of 3 touches points that partitions 0 and
+        # 2 touch too, so its fold takes messages from a lower and a
+        # higher partition at one point: the run pins the fold's
+        # [lower, own, higher] order
+        cfg = BubbleConfig(nx=4, ny=4, layers=3, order=2, n_steps=3)
+        disc = build_discretization(cfg)
+        own = [disc.numbering.restrict(part.elem_start, part.elem_stop)[1]
+               for part in partition_columns(disc.mesh, 3)]
+        assert np.intersect1d(np.intersect1d(own[0], own[1]), own[2]).size
+        digests = {T: hashlib.sha256(
+                       run_bubble(cfg, n_partitions=T)[1].tobytes()).hexdigest()
+                   for T in (1, 3, 5, 8)}
+        assert len(set(digests.values())) == 1, digests
 
     def test_partition_invariance_after_every_step(self):
         # agreement holds after each full timestep, not only at the end

@@ -8,7 +8,7 @@ from sembox.mesh import (
     MeshError, InvertedElementError, UnsupportedMeshError,
     build_box_mesh, build_cg_numbering, compute_metrics,
     morton_decode, morton_encode, partition_columns, partition_quality,
-    summary_text,
+    rank_major_plan, summary_text,
 )
 from oracles import (einsum_metrics, elements_of_column, inverse_jacobian,
                      mapped_box_mesh)
@@ -196,24 +196,17 @@ class TestCgNumbering:
         with pytest.raises(UnsupportedMeshError):
             build_cg_numbering(m, ref3)
 
-    def test_coloring_separates_nodes(self, ref3):
-        m = build_box_mesh(4, 4, 4, 1.0, 1.0, 1.0)
-        num = build_cg_numbering(m, ref3)
-        for batch in num.color_batches:
-            flat = num.global_ids[batch].ravel()
-            assert flat.size == np.unique(flat).size
-
     def test_coloring_that_does_not_separate_is_refused(self):
-        # the column at cell (1, 1) moved onto cell (3, 1): two columns of
-        # one parity class then share grid points.  Every point the move
-        # vacates is a shared corner, so the mass stays positive and the
-        # colour check is what fires.
+        # the column at cell (1, 1) moved onto cell (3, 1): two columns
+        # then occupy one cell, and their elements touch the same grid
+        # points twice.  Every point the move vacates is a shared corner,
+        # so the mass stays positive and the cell check is what fires.
         ref1 = ReferenceElement.create(1)
         m = build_box_mesh(4, 4, 2, 1.0, 1.0, 1.0)
         ij = m.col_ij.copy()
         ij[np.flatnonzero((ij[:, 0] == 1) & (ij[:, 1] == 1))] = (3, 1)
-        with pytest.raises(MeshError, match="element coloring does not "
-                                            "separate shared grid points"):
+        with pytest.raises(MeshError,
+                           match="two elements occupy one lattice cell"):
             build_cg_numbering(dataclasses.replace(m, col_ij=ij), ref1)
 
     def test_boundary_sets(self, ref3):
@@ -224,6 +217,30 @@ class TestCgNumbering:
             assert num.boundary_ids[axis].size == 2 * gpx * gpx
             coords = num.node_coords[num.boundary_ids[axis], axis]
             assert np.all((coords < 1e-12) | (coords > 1.0 - 1e-12))
+
+
+class TestRankMajorPlan:
+    # points 0..4 hold 1, 3, 1, 4 and 0 entries, in no sorted order
+    POINTS = np.array([3, 1, 3, 0, 1, 3, 2, 1, 3])
+
+    def test_chunk_r_holds_each_points_rth_entry(self):
+        point_pos, chunks = rank_major_plan(self.POINTS, 5)
+        assert point_pos.tolist() == [2, 1, 3, 0, 4]
+        assert [c.tolist() for c in chunks] == [[0, 1, 3, 6], [2, 4],
+                                                [5, 7], [8]]
+
+    def test_rank_is_place_in_array_order(self):
+        points = self.POINTS
+        point_pos, chunks = rank_major_plan(points, 5)
+        count = np.bincount(points, minlength=5)
+        sizes = [c.size for c in chunks]
+        assert sizes == sorted(sizes, reverse=True)
+        assert np.all(np.diff(count[np.argsort(point_pos)]) <= 0)
+        for r, chunk in enumerate(chunks):
+            assert np.array_equal(point_pos[points[chunk]],
+                                  np.arange(chunk.size))
+            for i in chunk:    # i is the r-th entry at its point
+                assert np.count_nonzero(points[:i] == points[i]) == r
 
 
 class TestPartitioning:

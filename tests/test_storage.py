@@ -12,7 +12,7 @@ from sembox.storage import (
     N_VARS, Mailboxes, MessageLost, NeighborStopped, PartitionLayout,
     ProtocolError, halo_exchange, read_snapshot, write_snapshot,
 )
-from oracles import accumulate_by_color, dss, node_major_contrib
+from oracles import accumulate_by_element, dss, node_major_contrib
 
 
 @pytest.fixture(scope="module")
@@ -249,28 +249,37 @@ class TestAssemblyPlan:
     @pytest.mark.parametrize("n_parts", [1, 2, 4])
     @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
     def test_bytes_equal_color_batch_loop(self, order, n_parts):
+        """The plan's sum has the bytes of two element-order oracles: the
+        per-element loop, and one ``np.bincount`` per variable over the
+        entries in element order (it adds in array order from 0.0).  The
+        name is the colour-batch loop's, the order before element order.
+        """
         rng = np.random.default_rng(order)
         for num in restricted_numberings(order, n_parts):
             c = rng.standard_normal((*num.global_ids.shape, N_VARS))
             c = np.where(rng.random(c.shape) < 0.3, -0.0, c)
-            assert (storage._accumulate(node_major_contrib(c, order),
-                                        num.assembly_plan).tobytes()
-                    == accumulate_by_color(c, num).tobytes())
+            got = storage._accumulate(node_major_contrib(c, order),
+                                      num.assembly_plan).tobytes()
+            assert got == accumulate_by_element(c, num).tobytes()
+            flat = c.reshape(-1, N_VARS)
+            by_bincount = np.stack(
+                [np.bincount(num.global_ids.ravel(), weights=flat[:, v],
+                             minlength=num.n_unique)
+                 for v in range(N_VARS)], axis=1)
+            assert got == by_bincount.tobytes()
 
     @pytest.mark.parametrize("n_parts", [1, 2, 4])
     @pytest.mark.parametrize("order", [1, 3, 5])
-    def test_chunks_are_ranks_in_color_order(self, order, n_parts):
+    def test_chunks_are_ranks_in_element_order(self, order, n_parts):
         n = order + 1
         for num in restricted_numberings(order, n_parts):
             # the plan indexes node-major rows (mesh.node_major)
             point_pos, chunks = num.assembly_plan
-            shape = (num.global_ids.shape[0], n, n, n)
+            E = num.global_ids.shape[0]
+            shape = (E, n, n, n)
             gids = node_major(num.global_ids.reshape(shape)).ravel()
-            color = np.empty(num.global_ids.shape[0], dtype=np.int64)
-            for c, batch in enumerate(num.color_batches):
-                color[batch] = c
-            color = node_major(np.repeat(color, num.n_node_per_elem)
-                               .reshape(shape)).ravel()
+            elem = node_major(np.repeat(np.arange(E), num.n_node_per_elem)
+                              .reshape(shape)).ravel()
             count = np.bincount(gids, minlength=num.n_unique)
             assert np.array_equal(np.sort(np.concatenate(chunks)),
                                   np.arange(gids.size))
@@ -283,8 +292,8 @@ class TestAssemblyPlan:
                 assert np.array_equal(np.sort(gids[chunk]),
                                       np.flatnonzero(count > r))
                 if r:
-                    assert np.all(color[chunk]
-                                  > color[chunks[r - 1][:chunk.size]])
+                    assert np.all(elem[chunk]
+                                  > elem[chunks[r - 1][:chunk.size]])
 
 
 class TestBoundedWait:
