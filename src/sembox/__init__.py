@@ -14,7 +14,7 @@ from .mesh import (build_box_mesh, compute_metrics, build_cg_numbering,
                    partition_columns, morton_encode, morton_decode)
 from .storage import PartitionLayout, halo_exchange
 from .dynamics import GasConstants, Discretization
-from .time_integration import RkScheme, TimestepControl, rk_step, compute_dt
+from .time_integration import RkScheme, TimestepControl, compute_dt
 from .perf_model import MachineModel, SimConfig, KernelCost, count_costs
 from .harness import BubbleConfig, run_bubble, scale_experiment
 
@@ -24,7 +24,7 @@ __all__ = [
     "partition_columns", "morton_encode", "morton_decode",
     "PartitionLayout", "halo_exchange",
     "GasConstants", "Discretization",
-    "RkScheme", "TimestepControl", "rk_step", "compute_dt",
+    "RkScheme", "TimestepControl", "compute_dt",
     "MachineModel", "SimConfig", "KernelCost", "count_costs",
     "BubbleConfig", "run_bubble", "scale_experiment",
 ]

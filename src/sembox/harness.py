@@ -15,11 +15,13 @@ state, stages and diagnostics only at the points its partition touches,
 in the partition's local numbering, its elements' node-major batches
 (``mesh.node_major``) of what the kernels read (the gather index, ``jg``,
 ``jw``, the background density and the weight row), built at
-construction, and its phase timing and stage loop; a stage combines its
-terms in place, through one scratch array.  Its ``_rhs`` and ``_filter``
-(``dynamics`` kernels, then ``PartitionLayout.exchange``) are the
-engine's only RHS and filter; one worker is the serial run, and any
-worker count gives ``rk_step`` over a serial assembly bit for bit.  A
+construction, and its phase timing.  Its stage loop is the engine's only
+Runge-Kutta stepper: the scheme combines each stage
+(``RkScheme.combine``) and names the stages it may drop
+(``RkScheme.released``).  Its ``_rhs`` and ``_filter`` (``dynamics``
+kernels, then ``PartitionLayout.exchange``) are the engine's only RHS
+and filter; one worker is the serial run, and any worker count gives the
+tests' reference stepper over a serial assembly bit for bit.  A
 worker that stops, for instance with ``storage.MessageLost``, stops the
 others through ``Mailboxes.run``; ``run_bubble`` raises the lowest fault.
 Each worker's diagnostics are partial sums over its owned points, taken
@@ -375,22 +377,13 @@ class _Worker:
     # -- the loop ------------------------------------------------------------
 
     def _stage(self, stages, i):
-        """Stage i + 1 of the scheme from ``stages``, combined in place:
-        each further weighted stage goes through one scratch array, and
-        the RHS (the exchange's own fresh array) is scaled where it lies.
-        These are ``rk_step``'s operations in its order, so the bits are
-        its bits; the RHS and the scratch die on return, before the next
-        kernel call."""
-        k, bt = DEFAULT_SCHEME.beta[i]
-        f = self._rhs(stages[k])
+        """Stage i + 1 of the scheme from ``stages``: the RHS (the
+        exchange's own fresh array, which :meth:`RkScheme.combine`
+        consumes), the combination, then the walls; the RHS dies on
+        return, before the next kernel call."""
+        f = self._rhs(stages[DEFAULT_SCHEME.beta[i][0]])
         t0 = time.perf_counter()
-        (j0, a0), *rest = DEFAULT_SCHEME.alpha[i]
-        new = a0 * stages[j0]
-        term = np.empty_like(new) if rest else None
-        for j, a in rest:
-            new += np.multiply(a, stages[j], out=term)
-        f *= self.dt * bt
-        new += f
+        new = DEFAULT_SCHEME.combine(stages, i, f, self.dt)
         apply_boundary(new, self.num)
         self._time("update", t0)
         return new

@@ -325,8 +325,16 @@ def halo_exchange(layout: PartitionLayout,
 
     Returns one assembled array per partition, with a row for each of its
     local points (``plans[t].own_gids``); all copies of a shared point
-    hold the identical value.
+    hold the identical value.  Partition t's contributions must be
+    node-major, (p+1, p+1, E_t, p+1, variables); any other shape raises
+    ``ValueError`` before an exchange starts.
     """
+    for t, (plan, contrib) in enumerate(zip(layout.plans, contribs)):
+        n, E = plan.numbering.order + 1, plan.elem_stop - plan.elem_start
+        if contrib.ndim != 5 or contrib.shape[:4] != (n, n, E, n):
+            raise ValueError(f"partition {t}: contributions of shape "
+                             f"{contrib.shape}, expected node-major "
+                             f"({n}, {n}, {E}, {n}, variables)")
     mail = Mailboxes(layout)
     outs, errors = mail.run(lambda t: layout.exchange(t, contribs[t], mail))
     for exc in errors:

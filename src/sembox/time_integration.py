@@ -7,20 +7,20 @@ evaluation, which keeps all coefficients non-negative
 was solved to full precision against the third-order conditions; the
 constructor re-verifies them and refuses schemes that fail.
 
-The step driver owns the synchronization pattern of the whole solver:
-right-hand side (with its exchange) -> state update -> wall projection,
-five times, then the filter (with its own exchange).  Every
-configuration here is fully explicit.  The partition workers in
-``harness`` run the same stage loop with their own phase timing, and drop
-each stage once no later stage reads it (:attr:`RkScheme.released`); a
-test pins them bit for bit to this stepper over the tests' serial
-operators.
+The scheme holds the stage arithmetic (:meth:`RkScheme.combine`) and
+says when a stage is dead (:attr:`RkScheme.released`).  The stage loop
+that calls them is the partition worker's in ``harness``: right-hand
+side (with its exchange) -> combine -> wall projection, five times, then
+the filter (with its own exchange).  Every configuration here is fully
+explicit.
 """
 
 from dataclasses import dataclass
 import math
 
 import numpy as np
+
+from .dynamics import pressure
 
 
 class SchemeOrderError(ValueError):
@@ -81,6 +81,21 @@ class RkScheme:
         return tuple(tuple(j for j, at in enumerate(last) if at == i)
                      for i in range(self.stages))
 
+    def combine(self, stages, i: int, f, dt: float):
+        """Stage i + 1 from the earlier ``stages`` and ``f``, the RHS of
+        ``stages[beta[i][0]]``, which it consumes: the first weighted
+        stage starts a fresh array, each further one is added through one
+        scratch array, and ``f`` is scaled by dt * beta where it lies and
+        added last."""
+        (j0, a0), *rest = self.alpha[i]
+        new = a0 * stages[j0]
+        term = np.empty_like(new) if rest else None
+        for j, a in rest:
+            new += np.multiply(a, stages[j], out=term)
+        f *= dt * self.beta[i][1]
+        new += f
+        return new
+
     def butcher(self):
         """Equivalent Butcher arrays (A, b, c)."""
         s = self.stages
@@ -109,34 +124,6 @@ def verify_order_conditions(scheme: RkScheme) -> dict:
         "order3a": float(b @ (c * c) - 1.0 / 3.0),
         "order3b": float(b @ (A @ c) - 1.0 / 6.0),
     }
-
-
-def rk_step(state, dt: float, rhs_fn, scheme: RkScheme | None = None,
-            filter_fn=None, boundary_fn=None):
-    """Advance one step: five RHS stages, then the filter pass.
-
-    ``rhs_fn(state)`` returns the assembled tendency; ``boundary_fn`` is
-    applied to each stage state in place; ``filter_fn(state)`` runs after
-    the stage loop (it performs its own assembly/exchange).
-    """
-    if scheme is None:
-        scheme = DEFAULT_SCHEME
-    stages = [state]
-    for i in range(scheme.stages):
-        k, bt = scheme.beta[i]
-        f = rhs_fn(stages[k])
-        new = None
-        for j, a in scheme.alpha[i]:
-            term = a * stages[j]
-            new = term if new is None else new + term
-        new = new + (dt * bt) * f
-        if boundary_fn is not None:
-            boundary_fn(new)
-        stages.append(new)
-    out = stages[-1]
-    if filter_fn is not None:
-        out = filter_fn(out)
-    return out
 
 
 DEFAULT_SCHEME = RkScheme.default()
@@ -175,17 +162,16 @@ def compute_dt(state_cg, disc, const, control: TimestepControl) -> float:
     faces is what limits the step.  The acoustic speed is sqrt(gamma R T)
     from the local full state.  Each axis gathers its own speed
     component to the element nodes and takes the minimum over every
-    element's node pairs along that axis.
+    element's node pairs along that axis.  A state with rho <= 0 or
+    Theta <= 0 raises ``StateValidityError`` from the equation of state
+    (:func:`~sembox.dynamics.pressure`).
     """
     courant = (control.courant_h, control.courant_h, control.courant_v)
     for axis, c in enumerate(courant):
         if not (math.isfinite(c) and c > 0.0):
             raise ValueError(f"Courant number along axis {axis} must be positive")
     q = state_cg
-    if np.any(q[:, 0] <= 0.0) or np.any(q[:, 4] <= 0.0):
-        raise ValueError("timestep needs a valid thermodynamic state")
-    P = const.p0 * (const.R * q[:, 4] / const.p0) ** const.gamma
-    T = P / (q[:, 0] * const.R)
+    T = pressure(q[:, 0], q[:, 4], const) / (q[:, 0] * const.R)
     c_snd = np.sqrt(const.gamma * const.R * T)
     if not np.all(np.isfinite(c_snd)):
         raise ValueError("non-finite wave speed")

@@ -44,6 +44,15 @@ Hydrostatic balance: the engine keeps only the background density and
 pressure.  ``hydrostatic_residual`` audits the density against the
 analytic derivative of the neutral pressure profile.
 
+Runge-Kutta stepping: the partition worker's stage loop is the engine's
+only stepper, and ``RkScheme.combine`` its stage arithmetic, in place
+through one scratch array.  ``rk_step`` is the stepper it replaced, kept
+as the reference: it holds every stage, adds out of place
+(``new = new + term``, then ``(dt * beta) * f``) and takes the walls and
+the filter as hooks; the workers must give its bytes.  ``combine_step``
+runs the engine's arithmetic alone, the worker's loop without walls or
+filter, for the order tests.
+
 The small helpers at the end evaluate, by definition, what the engine
 computes in bulk: a Lagrange cardinal polynomial, the mass integral, a
 column's elements, the forward Euler scheme, the CSV table read back,
@@ -65,7 +74,7 @@ from sembox.mesh import MetricTerms, build_box_mesh, node_major
 from sembox.perf_model import SCHEME_CG, SCHEME_DG, SCHEME_LABELS
 from sembox.reference_element import contract
 from sembox.storage import N_VARS
-from sembox.time_integration import RkScheme
+from sembox.time_integration import DEFAULT_SCHEME, RkScheme
 
 
 def mapped_box_mesh():
@@ -345,6 +354,48 @@ def hydrostatic_residual(ra, z, const) -> float:
     dp_dz = -(g * const.p0 / (const.R * th0)) * exner ** (const.cp / const.R - 1.0)
     rg = ra.cg[:, 0] * g
     return float(np.max(np.abs(dp_dz + rg) / rg))
+
+
+def rk_step(state, dt: float, rhs_fn, scheme: RkScheme | None = None,
+            filter_fn=None, boundary_fn=None):
+    """Advance one step: five RHS stages, then the filter pass.
+
+    ``rhs_fn(state)`` returns the assembled tendency; ``boundary_fn`` is
+    applied to each stage state in place; ``filter_fn(state)`` runs after
+    the stage loop (it performs its own assembly/exchange).
+    """
+    if scheme is None:
+        scheme = DEFAULT_SCHEME
+    stages = [state]
+    for i in range(scheme.stages):
+        k, bt = scheme.beta[i]
+        f = rhs_fn(stages[k])
+        new = None
+        for j, a in scheme.alpha[i]:
+            term = a * stages[j]
+            new = term if new is None else new + term
+        new = new + (dt * bt) * f
+        if boundary_fn is not None:
+            boundary_fn(new)
+        stages.append(new)
+    out = stages[-1]
+    if filter_fn is not None:
+        out = filter_fn(out)
+    return out
+
+
+def combine_step(scheme: RkScheme, state, dt: float, rhs_fn):
+    """One step of the engine's stage arithmetic: the partition worker's
+    stage loop with neither walls nor filter, ``scheme.combine`` forming
+    each stage and dead stages dropped as ``scheme.released`` says.
+    ``rhs_fn`` must return a fresh array, which ``combine`` consumes."""
+    stages = [state]
+    for i, spent in enumerate(scheme.released):
+        f = rhs_fn(stages[scheme.beta[i][0]])
+        stages.append(scheme.combine(stages, i, f, dt))
+        for j in spent:
+            stages[j] = None
+    return stages.pop()
 
 
 def lagrange_eval(points, i: int, xi: float) -> float:

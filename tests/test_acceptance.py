@@ -19,13 +19,13 @@ from sembox.mesh import (build_box_mesh, build_cg_numbering,
 from sembox.dynamics import GasConstants
 from sembox.harness import (BubbleConfig, build_discretization, init_bubble,
                             run_bubble, scale_experiment)
-from sembox.time_integration import rk_step
+from sembox.time_integration import DEFAULT_SCHEME
 from sembox.perf_model import (
     BUBBLE_CONFIG, SCHEME_CG, SCHEME_DG, SCHEME_HYBRID, SCHEMES, Calibration,
     MachineModel, PRESET_SHEETS, count_costs, order_sweep,
     random_access_penalty, roofline_time, sheet_table)
 
-from oracles import create_rhs
+from oracles import combine_step, create_rhs
 
 MACHINE = MachineModel()
 CONST = GasConstants()
@@ -134,10 +134,10 @@ def test_numerics_property_suite():
     # Runge-Kutta observed order >= 2.9
     errs = []
     for dt in (0.1, 0.05, 0.025):
-        y = 1.0
+        y = np.array([1.0])
         for _ in range(round(1.0 / dt)):
-            y = rk_step(y, dt, lambda s: -s)
-        errs.append(abs(y - math.exp(-1.0)))
+            y = combine_step(DEFAULT_SCHEME, y, dt, lambda s: -s)
+        errs.append(abs(y[0] - math.exp(-1.0)))
     order = math.log(errs[0] / errs[-1]) / math.log(4.0)
     assert order >= 2.9
 

@@ -1,3 +1,4 @@
+from collections import Counter
 import hashlib
 import os
 import time
@@ -13,9 +14,9 @@ from sembox.harness import (
 )
 from sembox.mesh import partition_columns
 from sembox.storage import read_snapshot
-from sembox.time_integration import TimestepControl, compute_dt, rk_step
+from sembox.time_integration import DEFAULT_SCHEME, TimestepControl, compute_dt
 
-from oracles import (apply_filter, create_rhs, hydrostatic_residual,
+from oracles import (apply_filter, create_rhs, hydrostatic_residual, rk_step,
                      speed_squared, write_theta_csv_rows)
 
 CONST = GasConstants()
@@ -270,6 +271,38 @@ class TestSerialEquivalence:
                             filter_fn=lambda s: walls(apply_filter(s, disc)),
                             boundary_fn=walls)
         assert np.array_equal(final, state)
+
+
+class TestStageHooks:
+    """Each worker projects onto the walls once at the start, after every
+    stage and after the filter's exchange, and filters once a step; with
+    the filter off its pass returns the state unchanged, without walls."""
+
+    @pytest.mark.parametrize("n_partitions", [1, 2])
+    @pytest.mark.parametrize("filter_mu", [BubbleConfig().filter_mu, 0.0])
+    def test_walls_and_filter_calls_per_worker(self, monkeypatch, filter_mu,
+                                               n_partitions):
+        walls, filters = Counter(), Counter()
+        apply_boundary, filter_contributions = (harness.apply_boundary,
+                                                harness.filter_contributions)
+
+        def counted_walls(state, numbering):
+            walls[id(numbering)] += 1
+            return apply_boundary(state, numbering)
+
+        def counted_filter(state, gids, jw, ref):
+            filters[id(gids)] += 1
+            return filter_contributions(state, gids, jw, ref)
+
+        monkeypatch.setattr(harness, "apply_boundary", counted_walls)
+        monkeypatch.setattr(harness, "filter_contributions", counted_filter)
+        steps = 3
+        run_bubble(BubbleConfig(nx=2, ny=2, layers=2, n_steps=steps,
+                                filter_mu=filter_mu),
+                   n_partitions=n_partitions)
+        per_step = DEFAULT_SCHEME.stages + (1 if filter_mu else 0)
+        assert sorted(walls.values()) == [1 + steps * per_step] * n_partitions
+        assert sorted(filters.values()) == [steps] * n_partitions
 
 
 class TestSchemeIsALedgerLabel:

@@ -11,8 +11,6 @@ ROOT = pathlib.Path(__file__).parents[1]
 # it stays; every other public name needs a caller in the package, the
 # demos or the benchmark
 UNUSED_ALLOWED = {
-    "rk_step": "the worker's stage loop becomes rk_step "
-               "(ROADMAP item 2, after the benchmark change of item 1)",
     "percent_max": "gets the run report as its consumer or goes "
                    "(ROADMAP item 7)",
 }

@@ -1,3 +1,4 @@
+import re
 import struct
 import threading
 
@@ -80,22 +81,27 @@ class TestScatterDss:
         assert np.abs(out - cg).max() < 1e-13
 
 
-# one partition's contribution has too few nodes per element; run in a
-# subprocess by the run_python fixture (conftest.py)
+# one partition's contribution has too few nodes per element, handed to
+# the per-step exchange as the run's workers call it (``halo_exchange``
+# refuses the shape before any exchange starts); run in a subprocess by
+# the run_python fixture (conftest.py)
 BAD_SHAPE_SCRIPT = """
 import numpy as np
 from sembox.reference_element import ReferenceElement
 from sembox.mesh import build_box_mesh, build_cg_numbering, partition_columns
-from sembox.storage import N_VARS, PartitionLayout, halo_exchange
+from sembox.storage import N_VARS, Mailboxes, NeighborStopped, PartitionLayout
 
 mesh = build_box_mesh(4, 4, 3, 1000.0, 1000.0, 1000.0)
 num = build_cg_numbering(mesh, ReferenceElement.create(3))
 parts = partition_columns(mesh, {n_parts})
-contribs = [np.ones((p.n_elements, 64, N_VARS)) for p in parts]
+layout = PartitionLayout(mesh, num, parts)
+contribs = [np.ones((4, 4, p.n_elements, 4, N_VARS)) for p in parts]
 contribs[{target}] = np.ones((parts[{target}].n_elements, 8, N_VARS))
-try:
-    halo_exchange(PartitionLayout(mesh, num, parts), contribs)
-except IndexError:
+mail = Mailboxes(layout)
+_, errors = mail.run(lambda t: layout.exchange(t, contribs[t], mail))
+faults = [e for e in errors if e is not None
+          and not isinstance(e, NeighborStopped)]
+if isinstance(errors[{target}], IndexError) and len(faults) == 1:
     print("raised IndexError")
 """
 
@@ -152,7 +158,7 @@ class TestPartitionedAssembly:
         _, mesh, _, num = setup443
         parts = partition_columns(mesh, n_parts)
         layout = PartitionLayout(mesh, num, parts)
-        outs = halo_exchange(layout, [np.ones((p.n_elements, 64, N_VARS))
+        outs = halo_exchange(layout, [np.ones((4, 4, p.n_elements, 4, N_VARS))
                                       for p in parts])
         for t, out in enumerate(outs):
             assert out.shape == (layout.plans[t].own_gids.size, N_VARS)
@@ -181,6 +187,24 @@ class TestPartitionedAssembly:
                                                   target=target))
         assert proc.returncode == 0, proc.stderr
         assert "raised IndexError" in proc.stdout
+
+    @pytest.mark.parametrize("n_parts,target", [(1, 0), (2, 1), (4, 2)])
+    def test_element_major_contributions_are_refused(self, setup443, n_parts,
+                                                     target):
+        # the (E, n^3, 5) batches the exchange read before node-major ones
+        _, mesh, metrics, num = setup443
+        contrib = weighted(np.ones((num.n_unique, N_VARS)), metrics, num, mesh)
+        parts = partition_columns(mesh, n_parts)
+        contribs = [node_major_contrib(contrib[p.elem_start:p.elem_stop], 3)
+                    for p in parts]
+        E = parts[target].n_elements
+        contribs[target] = contrib[parts[target].elem_start:
+                                   parts[target].elem_stop]
+        message = (f"partition {target}: contributions of shape "
+                   f"({E}, 64, 5), expected node-major (4, 4, {E}, 4, "
+                   f"variables)")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            halo_exchange(PartitionLayout(mesh, num, parts), contribs)
 
     def test_repeated_exchange_under_fast_switching(self, run_python):
         proc = run_python(STRESS_SCRIPT)
@@ -361,7 +385,7 @@ class TestLauncher:
         _, mesh, _, num = setup443
         parts = partition_columns(mesh, n_parts)
         return (PartitionLayout(mesh, num, parts),
-                [np.ones((p.n_elements, 64, N_VARS)) for p in parts])
+                [np.ones((4, 4, p.n_elements, 4, N_VARS)) for p in parts])
 
     def test_one_partition_runs_on_the_calling_thread(self, setup443, traced):
         started, ran_on, _ = traced

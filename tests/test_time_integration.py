@@ -3,15 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from sembox.dynamics import Discretization, GasConstants
+from sembox.dynamics import Discretization, GasConstants, StateValidityError
 from sembox.harness import BubbleConfig, build_discretization
 from sembox.mesh import build_box_mesh, build_cg_numbering, compute_metrics
 from sembox.reference_element import ReferenceElement
 from sembox.time_integration import (
-    DEFAULT_SCHEME, RkScheme, TimestepControl, compute_dt, rk_step,
+    DEFAULT_SCHEME, RkScheme, TimestepControl, compute_dt,
     verify_order_conditions,
 )
-from oracles import forward_euler_scheme, gathered_dt, mapped_box_mesh
+from oracles import (combine_step, forward_euler_scheme, gathered_dt,
+                     mapped_box_mesh, rk_step)
 
 CONST = GasConstants()
 
@@ -70,43 +71,49 @@ class TestReleasedStages:
 
 
 class TestRkStep:
+    """The engine's stage arithmetic, ``RkScheme.combine`` in the
+    worker's loop (``oracles.combine_step``)."""
+
     def test_zero_rhs_is_identity(self):
         y = np.array([1.0, -2.0, 3.0])
-        out = rk_step(y, 0.25, lambda s: np.zeros_like(s))
+        out = combine_step(DEFAULT_SCHEME, y, 0.25, lambda s: np.zeros_like(s))
         assert np.allclose(out, y, atol=1e-15)
 
     def test_single_step_error_scales_like_dt4(self):
         dt = 0.1
-        y1 = rk_step(1.0, dt, lambda y: -y)
-        err = abs(y1 - math.exp(-dt))
+        y1 = combine_step(DEFAULT_SCHEME, np.array([1.0]), dt, lambda y: -y)
+        err = abs(y1[0] - math.exp(-dt))
         assert err < 2.0 * dt ** 4  # third-order local truncation
 
     def test_observed_order_three(self):
         errs = []
         for dt in (0.1, 0.05, 0.025):
-            y, t = 1.0, 0.0
+            y = np.array([1.0])
             n = round(1.0 / dt)
             for _ in range(n):
-                y = rk_step(y, dt, lambda s: -s)
-            errs.append(abs(y - math.exp(-1.0)))
+                y = combine_step(DEFAULT_SCHEME, y, dt, lambda s: -s)
+            errs.append(abs(y[0] - math.exp(-1.0)))
         slopes = [math.log(errs[i] / errs[i + 1]) / math.log(2.0)
                   for i in range(2)]
         for s in slopes:
             assert abs(s - 3.0) < 0.1
 
-    def test_boundary_hook_called_per_stage(self):
-        calls = []
-        rk_step(np.ones(3), 0.1, lambda s: -s,
-                boundary_fn=lambda s: calls.append(1))
-        assert len(calls) == DEFAULT_SCHEME.stages
+    @pytest.mark.parametrize("scheme", [DEFAULT_SCHEME, forward_euler_scheme()],
+                             ids=["default", "forward-euler"])
+    def test_combine_bytes_equal_the_reference_stepper(self, scheme):
+        # in place through one scratch array against rk_step's out-of-place
+        # sums: the same IEEE operations in the same order, signed zeros too
+        rng = np.random.default_rng(30)
+        state = rng.standard_normal((1000, 5))
+        state[rng.random(state.shape) < 0.3] = -0.0
 
-    def test_filter_and_imex_hooks(self):
-        # the filter runs once, after the stage loop
-        order = []
-        out = rk_step(1.0, 0.1, lambda s: (order.append("rhs"), 0.0)[1],
-                      filter_fn=lambda s: (order.append("filter"), s)[1])
-        assert order == ["rhs"] * DEFAULT_SCHEME.stages + ["filter"]
-        assert out == 1.0
+        def rhs(s):
+            return -np.sin(3.0 * s)
+
+        for dt in (0.1, 0.37):
+            got = combine_step(scheme, state.copy(), dt, rhs)
+            want = rk_step(state.copy(), dt, rhs, scheme=scheme)
+            assert got.tobytes() == want.tobytes()
 
 
 class TestComputeDt:
@@ -208,6 +215,15 @@ class TestComputeDt:
         ctrl = TimestepControl(n_steps=1)
         with pytest.raises(ValueError):
             compute_dt(bad, disc, CONST, ctrl)
+
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    @pytest.mark.parametrize("column", [0, 4], ids=["rho", "Theta"])
+    def test_refuses_nonpositive_rho_or_theta(self, column, value):
+        disc, state = self.make_quiescent_300k()
+        state[3, column] = value
+        ctrl = TimestepControl(n_steps=1)
+        with pytest.raises(StateValidityError, match="rho > 0 and Theta > 0"):
+            compute_dt(state, disc, CONST, ctrl)
 
     def test_steps_for(self):
         ctrl = TimestepControl(end_time=1.0)
