@@ -7,7 +7,9 @@ file can seed any run option; explicit flags win.  Exit codes: 0 on
 success, 2 on configuration or usage errors (a missing or unreadable
 config or scenario file included), 3 on a diverged run, 4 on a fault
 inside a worker of the run (an internal error, reported with its
-partition and step).
+partition and step), 5 when the compiled element kernels cannot be built
+(no C compiler, or a failed build; reported with the compiler tried and
+the tail of its error output).
 """
 
 import argparse
@@ -26,11 +28,17 @@ from .perf_model import (MachineModel, SimConfig, PRESET_SHEETS,
 from .harness import (BubbleConfig, ConfigError, DivergedRunError, run_bubble,
                       scale_experiment, scale_table, scale_csv,
                       worker_fault_note)
+from .kernels import KernelBuildError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 EXIT_FAULT = 4
+EXIT_BUILD = 5
+_EXIT_HELP = ("exit codes: 0 success; 2 configuration or usage error; "
+              "3 diverged run; 4 fault inside a worker; 5 the compiled "
+              "element kernels cannot be built (no C compiler, or a failed "
+              "build)")
 
 # the one table of `run`/`scale` options: config key -> (BubbleConfig
 # field, index into a tuple field or None, type); the keys in
@@ -145,7 +153,8 @@ def _write_out(out_dir, name: str, text: str):
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="sembox",
-        description="spectral-element box engine and roofline performance model")
+        description="spectral-element box engine and roofline performance model",
+        epilog=_EXIT_HELP)
     sub = ap.add_subparsers(dest="command", required=True)
 
     m = sub.add_parser("mesh", help="build, partition and report a column mesh")
@@ -158,8 +167,10 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--ly", type=float, default=1000.0)
     m.add_argument("--lz", type=float, default=1000.0)
 
-    r = sub.add_parser("run", help="run the rising-bubble simulation")
-    s = sub.add_parser("scale", help="strong-scaling sweep over worker counts")
+    r = sub.add_parser("run", help="run the rising-bubble simulation",
+                       epilog=_EXIT_HELP)
+    s = sub.add_parser("scale", help="strong-scaling sweep over worker counts",
+                       epilog=_EXIT_HELP)
     for b in (r, s):
         b.add_argument("--config", help="flat key=value config file")
         _add_key_flags(b, _BUBBLE_FLAGS)
@@ -351,6 +362,9 @@ def main(argv=None) -> int:
             print(f"internal fault in {note}: {type(exc).__name__}: {exc}",
                   file=sys.stderr)
             return EXIT_FAULT
+        if isinstance(exc, KernelBuildError):
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_BUILD
         if not isinstance(exc, (ConfigError, MeshError, ValueError)):
             raise
         print(f"error: {exc}", file=sys.stderr)

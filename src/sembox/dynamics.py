@@ -7,44 +7,36 @@ the resting reference atmosphere is a machine-exact steady state.
 
 Both element operators, the right-hand side (contravariant flux form;
 Kopriva, *Implementing Spectral Methods for PDEs*, 2009) and the modal
-filter, run on one pipeline: :func:`element_soa` gathers a batch of
-elements as a structure of arrays, ``contract`` applies a 1D operator
-along z, y or x of it, and :func:`_weight_into` writes the weighted
-result into the (n, n, E, n, 5) contributions that the workers in
-``harness`` assemble (``storage.PartitionLayout.exchange``, the engine's
-one assembly).  Every element-node batch the operators read or write is
-node-major, (y, z, element, x) (:func:`~sembox.mesh.node_major`): the
-gather index, the geometry, the gathered state and pressure, the
-workspace and the contributions.  So a y derivative is one matrix
-product D @ S over every element, a z derivative one per y slab and an
-x derivative row GEMMs against D^T, each in chunks of at most
-``GEMM_ROWS`` columns or rows: a few dozen GEMMs a stage, where an
-element-major batch takes one per element and node.  Set-up, the
-numbering and the metric terms stay element-major; a worker holds its
-elements' node-major copies.  The perturbation pressure is evaluated
-once per unique point and gathered (:func:`element_pressure`); the
-kernel evaluates none.  Both take only the geometry they read, the
-metric cofactors ``jg``, the weighted Jacobian ``jw`` and, for the
-kernel, the negated quadrature weights (:func:`minus_weights`), not a
-whole :class:`~sembox.mesh.MetricTerms`, so a worker holds its
-partition's copies of those and no node coordinates or Jacobian.
+filter, are compiled C loops (``kernels.c``, built and loaded by
+:mod:`~sembox.kernels`): one fused pass per element gathers its state
+into stack arrays, applies the 1D operators along x, y and z as fma
+chains and writes the weighted result into the (n, n, E, n, 5)
+contributions that the workers in ``harness`` assemble
+(``storage.PartitionLayout.exchange``, the engine's one assembly).  The
+functions here are their Python entry points: they check the arrays,
+call the kernel and turn its verdict into :class:`DivergedStateError`.
+Every element-node batch is node-major, (y, z, element, x)
+(:func:`~sembox.mesh.node_major`): the gather index, the geometry and
+the contributions.  The kernels write into an output
+array the caller holds (one per worker); ``exchange`` copies what it
+keeps, so the array is free again once the exchange returns.
 
-Every phase of the step is memory-bound, so the operators hold only
-live data: the kernel forms the flux one direction at a time in a
-(5, M) buffer of its :class:`RhsWorkspace` and writes the contributions
-into that buffer once the last direction is spent; the filter writes
-them into its own gather once the third contraction has read it.
-Neither allocates a contributions array, and the kernel's result is
-valid only until the next call on the same workspace (``exchange``
-copies what it keeps).
+The perturbation pressure is evaluated in numpy once per unique point
+(:func:`element_pressure`); the kernel gathers it at the element nodes
+with the state and the background density, and evaluates none.  The
+kernels take only the geometry they read, the metric cofactors
+``jg`` and the weighted Jacobian ``jw``, not a whole
+:class:`~sembox.mesh.MetricTerms`, so a worker holds its partition's
+copies of those and no node coordinates or Jacobian.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import MetricTerms, CgNumbering, node_major
-from .reference_element import ReferenceElement, contract
+from .kernels import BAD_INDEX, CompiledKernels, pointer
+from .mesh import MetricTerms, CgNumbering
+from .reference_element import ReferenceElement
 from .storage import N_VARS, ReferenceAtmosphere
 
 
@@ -88,142 +80,94 @@ def pressure(rho, theta_density, const: GasConstants):
     return const.p0 * (const.R * theta_density / const.p0) ** const.gamma
 
 
-def flux(q, p_prime, jg_a, F, U):
-    """Contravariant flux along one reference direction xi_a, into ``F``.
-
-    ``q`` is the conserved state (5, M), ``p_prime`` the perturbation
-    pressure (M,) and ``jg_a`` the metric cofactor row (3, M) of xi_a,
-    jg_a[d] = J d(xi_a)/d(x_d).  With the contravariant velocity
-    U_a = sum_d jg_a[d] u_d, the flux is F = q U_a plus jg_a[c] P' on
-    the momentum rows 1 + c.  ``F`` is (5, M); ``U`` is an (M,) scratch
-    buffer, free again on return.
-    """
-    np.multiply(jg_a[0], q[1], out=U)
-    U += jg_a[1] * q[2]
-    U += jg_a[2] * q[3]
-    U /= q[0]
-    np.multiply(U, q, out=F)
-    for c in range(3):
-        np.multiply(jg_a[c], p_prime, out=U)    # U is spent: reuse it
-        F[1 + c] += U
-    return F
-
-
-@dataclass
-class RhsWorkspace:
-    """Reusable structure-of-arrays buffers of the right-hand-side kernel
-    for a batch of M = E n^3 element nodes, each row node-major
-    (y, z, E, x): 11 M doubles.
-
-    The kernel forms one direction's flux at a time and returns its
-    contributions in ``flux``, so a result lives only until the next
-    call on the same workspace.
-    """
-
-    U: np.ndarray        # (M,) contravariant velocity, then a scratch row
-    flux: np.ndarray     # (5, M) flux along one direction, then the result
-    div: np.ndarray      # (5, M) reference-space divergence
-
-    @classmethod
-    def create(cls, n_elements: int, n: int) -> "RhsWorkspace":
-        m = n_elements * n ** 3
-        return cls(U=np.empty(m), flux=np.empty((N_VARS, m)),
-                   div=np.empty((N_VARS, m)))
+def _check_batch(kernels: CompiledKernels, ref: ReferenceElement,
+                 state_cg: np.ndarray, gids: np.ndarray, out: np.ndarray,
+                 **batches):
+    """Raise ValueError unless ``ref`` has the kernels' n nodes per
+    direction, ``state_cg`` is a (points, 5) field, ``gids`` an
+    (n, n, E, n) node-major index, ``out`` its (n, n, E, n, 5)
+    contributions and every other batch shaped like ``gids`` (``jg``:
+    (3, 3) of them; ``p_prime`` and ``rho_bar``: one value per point).
+    The kernels check each index against the field's rows."""
+    n = kernels.n_nodes
+    if ref.n_nodes != n:
+        raise ValueError(f"kernels for {n} nodes per direction cannot apply "
+                         f"the operators of order {ref.order}")
+    if state_cg.ndim != 2 or state_cg.shape[1] != N_VARS:
+        raise ValueError(f"the point field must have shape (points, {N_VARS}), "
+                         f"got {state_cg.shape}")
+    shape = gids.shape
+    if len(shape) != 4 or (shape[0], shape[1], shape[3]) != (n, n, n):
+        raise ValueError(f"a kernel for {n} nodes per direction needs an "
+                         f"(n, n, E, n) gather index, got {shape}")
+    shapes = {"p_prime": state_cg.shape[:1], "rho_bar": state_cg.shape[:1],
+              "jg": (3, 3, *shape), "out": (*shape, N_VARS)}
+    for name, a in (("out", out), *batches.items()):
+        want = shapes.get(name, shape)
+        if a.shape != want:
+            raise ValueError(f"{name} must have shape {want}, got {a.shape}")
 
 
-def element_soa(cg: np.ndarray, gids: np.ndarray) -> np.ndarray:
-    """Rows of the point field ``cg`` (points, vars) at the element nodes
-    ``gids``, as a structure of arrays (vars, *gids.shape)."""
-    return np.take(cg.T, gids, axis=1)
-
-
-def minus_weights(ref: ReferenceElement, n_elements: int) -> np.ndarray:
-    """-w, the negated tensor-product quadrature weight, at every node of
-    ``n_elements`` elements, node-major (M,).  The kernel weights its
-    contributions with it at full length, so that the write into the
-    (M, 5) contributions runs one loop over M, not one per x row."""
-    n = ref.n_nodes
-    return node_major(np.broadcast_to(-ref.weights_3d,
-                                      (n_elements, n, n, n))).ravel()
-
-
-def _weight_into(contrib, values, weights) -> np.ndarray:
-    """``values`` (5, M) times ``weights`` (M,) into the contributions
-    ``contrib`` (..., 5) of the same M nodes."""
-    np.multiply(values.reshape(N_VARS, -1), weights,
-                out=contrib.reshape(-1, N_VARS).T)
-    return contrib
-
-
-def _first_bad_element(arr: np.ndarray, axis: int) -> int:
-    """First element with a non-finite value; ``axis`` is the element axis."""
-    bad = ~np.isfinite(np.moveaxis(arr, axis, 0).reshape(arr.shape[axis], -1))
-    return int(np.argmax(np.any(bad, axis=1)))
+def _check_gathered(verdict: int, state_cg: np.ndarray):
+    """Raise IndexError for a kernel's verdict on a gather index outside
+    the point field."""
+    if verdict == BAD_INDEX:
+        raise IndexError(f"a gather index lies outside the point field's "
+                         f"{state_cg.shape[0]} rows")
 
 
 def rhs_element_contributions(state_cg: np.ndarray, gids: np.ndarray,
-                              p_prime_el: np.ndarray, rho_bar_el: np.ndarray,
+                              p_prime: np.ndarray, rho_bar: np.ndarray,
                               jg: np.ndarray, jw: np.ndarray,
-                              minus_w: np.ndarray, ref: ReferenceElement,
-                              const: GasConstants,
-                              ws: RhsWorkspace) -> np.ndarray:
-    """J*w-weighted RHS contribution of every element node at ``gids``.
+                              ref: ReferenceElement, const: GasConstants,
+                              kernels: CompiledKernels,
+                              out: np.ndarray) -> np.ndarray:
+    """J*w-weighted RHS contribution of every element node at ``gids``,
+    into ``out``, which it returns.
 
-    Contravariant (conservative) flux form: with F_a the flux along
-    xi_a (see :func:`flux`), the element divergence is
-    J div F = D_xi F_0 + D_eta F_1 + D_zeta F_2, fifteen one-direction
-    contractions on structure-of-arrays (vars, nodes) data, and the
-    contribution is -w (J div F) - J w S with the gravity source S on
-    the vertical momentum.  On affine elements this equals the
-    chain-rule form to round-off.  On trilinear mapped elements it keeps
-    a uniform flow uniform only where the discrete metric identities
-    hold, which needs p >= 2 (at p = 1 the cofactor is not differentiated
-    exactly).
+    Contravariant (conservative) flux form: with F_a = q U_a plus
+    jg_a[c] P' on the momentum rows 1 + c, U_a = sum_d jg_a[d] u_d the
+    contravariant velocity along xi_a, the element divergence is
+    J div F = D_xi F_0 + D_eta F_1 + D_zeta F_2, and the contribution is
+    -w (J div F) - J w S with the gravity source S on the vertical
+    momentum.  On affine elements this equals the chain-rule form to
+    round-off.  On trilinear mapped elements it keeps a uniform flow
+    uniform only where the discrete metric identities hold, which needs
+    p >= 2 (at p = 1 the cofactor is not differentiated exactly).
 
     Every batch is node-major (:func:`~sembox.mesh.node_major`): ``gids``
-    (n, n, E, n) indexes the points ``state_cg`` holds; ``p_prime_el`` is
-    the perturbation pressure and ``rho_bar_el`` the background density
-    at those nodes (:func:`element_pressure`,
-    ``ReferenceAtmosphere.cg[:, 0][gids]``); ``jg`` (3, 3, n, n, E, n)
+    (n, n, E, n) indexes the points ``state_cg`` holds, and
+    ``p_prime`` and ``rho_bar``, the perturbation pressure
+    (:func:`element_pressure`) and the background density
+    (``ReferenceAtmosphere.cg[:, 0]``, contiguous) at those points, which
+    the kernel gathers with the state; ``jg`` (3, 3, n, n, E, n)
     and ``jw`` (n, n, E, n) are the elements' metric cofactors and
     weighted Jacobian (:class:`~sembox.mesh.MetricTerms`, node-major),
-    the only geometry the kernel reads, and ``minus_w`` (M,) is
-    :func:`minus_weights`; ``ws`` holds the kernel's buffers for E
-    elements (:meth:`RhsWorkspace.create`).  The kernel evaluates no
-    pressure.  Returns a C-contiguous (n, n, E, n, 5) view of
-    ``ws.flux``: valid until the next call on ``ws``, which overwrites
-    it.
+    the only geometry the kernel reads; ``kernels`` are the compiled
+    kernels of the order (:func:`~sembox.kernels.load`) and ``out``
+    (n, n, E, n, 5) takes the contributions.
+
+    A non-finite value in the gathered state raises
+    :class:`DivergedStateError` for its first element before any
+    contribution counts; else a non-finite contribution raises it for
+    the first such element, as ``"right-hand side"``.
     """
-    n = ref.n_nodes
-    m = gids.size
-    q = element_soa(state_cg, gids).reshape(N_VARS, m)
-    if not np.all(np.isfinite(q)):
-        raise DivergedStateError(
-            _first_bad_element(q.reshape(N_VARS, *gids.shape), axis=3))
-    p_prime = p_prime_el.reshape(m)
-    jg = jg.reshape(3, 3, m)
-    D = ref.diff_matrix
-    # one direction's flux at a time: x contracts into div as row GEMMs
-    # against D^T, y and z one variable at a time into U, free once the
-    # flux is formed, as D @ S over every element (y) or per y slab (z);
-    # each adds to div in the order x+y+z
-    F = flux(q, p_prime, jg[0], ws.flux, ws.U)
-    contract(D, F.reshape(-1, n), ws.div, 1)
-    for a in (1, 2):
-        F = flux(q, p_prime, jg[a], ws.flux, ws.U)
-        for v in range(N_VARS):
-            contract(D, F[v].reshape(gids.shape), ws.U, a - 1)
-            ws.div[v] += ws.U
-    # source: gravity acting on the density perturbation only
-    source = const.gravity * jw.reshape(m) * (q[0] - rho_bar_el.reshape(m))
-    del q           # the gather is freed before the contributions come
-    contrib = _weight_into(ws.flux.reshape(*gids.shape, N_VARS), ws.div,
-                           minus_w)
-    contrib.reshape(m, N_VARS)[:, 3] -= source
-    if not np.all(np.isfinite(contrib)):
-        raise DivergedStateError(_first_bad_element(contrib, axis=2),
-                                 "right-hand side")
-    return contrib
+    _check_batch(kernels, ref, state_cg, gids, out, p_prime=p_prime,
+                 rho_bar=rho_bar, jg=jg, jw=jw)
+    f64 = np.float64
+    weights = ref.weights_3d    # a new array: held through the call
+    verdict = kernels.rhs(
+        pointer(state_cg, f64), pointer(p_prime, f64), pointer(rho_bar, f64),
+        state_cg.shape[0], pointer(gids, np.int64), pointer(jg, f64),
+        pointer(jw, f64), pointer(ref.diff_matrix, f64),
+        pointer(weights, f64), const.gravity, gids.shape[2],
+        pointer(out, f64))
+    _check_gathered(verdict, state_cg)
+    if verdict < 0:
+        raise DivergedStateError(-verdict - 1)
+    if verdict > 0:
+        raise DivergedStateError(verdict - 1, "right-hand side")
+    return out
 
 
 @dataclass
@@ -236,45 +180,31 @@ class Discretization:
     numbering: CgNumbering
 
 
-def element_pressure(state_cg: np.ndarray, gids: np.ndarray,
-                     ra: ReferenceAtmosphere,
+def element_pressure(state_cg: np.ndarray, ra: ReferenceAtmosphere,
                      const: GasConstants) -> np.ndarray:
-    """Perturbation pressure at the nodes ``gids`` of an element range.
-
-    ``state_cg`` and ``ra`` hold the points the range touches (the whole
-    mesh, or a partition's local points): the pressure is evaluated once
-    per row, then gathered.
-    """
-    p_cg = pressure(state_cg[:, 0], state_cg[:, 4], const) - ra.pressure
-    return p_cg[gids]
-
-
-def filter_element(q: np.ndarray, ref: ReferenceElement) -> np.ndarray:
-    """The modal filter along z, y and x of the node-major
-    structure-of-arrays batch ``q`` (vars, n, n, E, n), between one
-    scratch buffer and ``q``, which it overwrites; returns the filtered
-    batch."""
-    F = ref.filter_matrix
-    scratch = np.empty_like(q)
-    contract(F, q, scratch, 2)
-    contract(F, scratch, q, 1)
-    contract(F, q, scratch, 4)
-    return scratch
+    """Perturbation pressure of the points an element range touches, the
+    rows of ``state_cg`` and ``ra`` (the whole mesh, or a partition's
+    local points), evaluated once per row; the RHS kernel gathers it at
+    the element nodes."""
+    return pressure(state_cg[:, 0], state_cg[:, 4], const) - ra.pressure
 
 
 def filter_contributions(state_cg: np.ndarray, gids: np.ndarray,
-                         jw: np.ndarray, ref: ReferenceElement):
+                         jw: np.ndarray, ref: ReferenceElement,
+                         kernels: CompiledKernels, out: np.ndarray):
     """J*w-weighted filtered values of the element nodes at ``gids``
-    (n, n, E, n), for DSS, node-major (n, n, E, n, 5) like ``gids`` and
-    ``jw``; None when the filter is off (``filter_mu == 0``)."""
+    (n, n, E, n): the modal filter along z, y and x of each element,
+    times ``jw``, into ``out`` (n, n, E, n, 5), node-major like ``gids``
+    and ``jw``; None when the filter is off (``filter_mu == 0``)."""
     if ref.filter_mu == 0.0:
         return None
-    # the gather is spent once the third contraction has read it, so the
-    # contributions go into it: two batch arrays live, not three
-    q = element_soa(state_cg, gids)
-    filtered = filter_element(q, ref)
-    return _weight_into(q.reshape(*gids.shape, N_VARS), filtered,
-                        jw.reshape(-1))
+    _check_batch(kernels, ref, state_cg, gids, out, jw=jw)
+    f64 = np.float64
+    _check_gathered(kernels.filter(
+        pointer(state_cg, f64), state_cg.shape[0], pointer(gids, np.int64),
+        pointer(jw, f64), pointer(ref.filter_matrix, f64), gids.shape[2],
+        pointer(out, f64)), state_cg)
+    return out
 
 
 def apply_boundary(state_cg: np.ndarray, numbering: CgNumbering) -> np.ndarray:

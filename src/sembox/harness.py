@@ -13,10 +13,10 @@ Every partition runs in its own worker, started by
 messages, which travel through those mailboxes.  A worker holds its
 state, stages and diagnostics only at the points its partition touches,
 in the partition's local numbering, its elements' node-major batches
-(``mesh.node_major``) of what the kernels read (the gather index, ``jg``,
-``jw``, the background density and the weight row), built at
-construction, and its phase timing.  Its stage loop is the engine's only
-Runge-Kutta stepper: the scheme combines each stage
+(``mesh.node_major``) of what the kernels read (the gather index, ``jg``
+and ``jw``), the background density at its points and the one array the
+kernels write, built at construction, and its phase timing.  Its stage loop is
+the engine's only Runge-Kutta stepper: the scheme combines each stage
 (``RkScheme.combine``) and names the stages it may drop
 (``RkScheme.released``).  Its ``_rhs`` and ``_filter`` (``dynamics``
 kernels, then ``PartitionLayout.exchange``) are the engine's only RHS
@@ -43,10 +43,10 @@ from .mesh import (build_box_mesh, compute_metrics, build_cg_numbering,
                    node_major, partition_columns)
 from .storage import (N_VARS, Mailboxes, NeighborStopped, PartitionLayout,
                       ReferenceAtmosphere, write_snapshot)
-from .dynamics import (Discretization, GasConstants, RhsWorkspace,
-                       DivergedStateError, StateValidityError, apply_boundary,
-                       element_pressure, filter_contributions, minus_weights,
-                       rhs_element_contributions)
+from .dynamics import (Discretization, GasConstants, DivergedStateError,
+                       StateValidityError, apply_boundary, element_pressure,
+                       filter_contributions, rhs_element_contributions)
+from .kernels import CompiledKernels, load
 from .time_integration import (DEFAULT_SCHEME, TimestepControl, compute_dt)
 from .perf_model import SCHEME_CG, ENGINE_SCHEMES, SimConfig, count_costs
 
@@ -303,13 +303,15 @@ class _Worker:
     the driver after the join."""
 
     def __init__(self, part_id: int, layout: PartitionLayout,
-                 ref: ReferenceElement, jg: np.ndarray, jw: np.ndarray,
+                 ref: ReferenceElement, kernels: CompiledKernels,
+                 jg: np.ndarray, jw: np.ndarray,
                  const: GasConstants, ra: ReferenceAtmosphere,
                  state0: np.ndarray, config: BubbleConfig, mail: Mailboxes,
                  dt: float, n_steps: int, snapshot_every: int):
         self.t = part_id
         self.layout = layout
         self.ref = ref
+        self.kernels = kernels
         self.const = const
         self.config = config
         self.mail = mail
@@ -328,9 +330,10 @@ class _Worker:
         elems = slice(plan.elem_start, plan.elem_stop)
         self.jg = node_major(jg[:, :, elems], axis=2)
         self.jw = node_major(jw[elems])
-        self.minus_w = minus_weights(ref, E)
-        self.ws = RhsWorkspace.create(E, n)
-        self.rho_bar_el = self.ra.cg[:, 0][self.gids]
+        self.rho_bar = np.ascontiguousarray(self.ra.cg[:, 0])
+        # the kernels' one output: the RHS and the filter write their
+        # contributions here, and the exchange copies what it keeps
+        self.contrib = np.empty((*self.gids.shape, N_VARS))
         self.diags = []
         self.snapshots = []
         self.phase_seconds = {ph: 0.0 for ph in PHASES}
@@ -359,16 +362,16 @@ class _Worker:
     def _rhs(self, state):
         t0 = time.perf_counter()
         contrib = rhs_element_contributions(
-            state, self.gids,
-            element_pressure(state, self.gids, self.ra, self.const),
-            self.rho_bar_el, self.jg, self.jw, self.minus_w, self.ref,
-            self.const, self.ws)
+            state, self.gids, element_pressure(state, self.ra, self.const),
+            self.rho_bar, self.jg, self.jw, self.ref, self.const,
+            self.kernels, self.contrib)
         self._time("create_rhs", t0)
         return self._exchange(contrib)
 
     def _filter(self, state):
         t0 = time.perf_counter()
-        contrib = filter_contributions(state, self.gids, self.jw, self.ref)
+        contrib = filter_contributions(state, self.gids, self.jw, self.ref,
+                                       self.kernels, self.contrib)
         self._time("filter", t0)
         if contrib is None:
             return state
@@ -444,8 +447,12 @@ def _set_up(config: BubbleConfig, n_partitions: int, out_dir: str | None):
     mailboxes and workers.
 
     Returns (workers, mailboxes, dt, n_steps, n_unique, theta_csv):
-    only what the loop and the outputs read.  ``theta_csv`` is the
-    whole mesh's node coordinates and the background theta0 with an
+    only what the loop and the outputs read.  The compiled element
+    kernels are loaded once the discretization is built (built on first
+    use, see :mod:`~sembox.kernels`), so a missing compiler raises
+    :class:`~sembox.kernels.KernelBuildError` before the rest of set-up
+    and no worker thread compiles.  ``theta_csv`` is the whole
+    mesh's node coordinates and the background theta0 with an
     ``out_dir``, else None.  The mesh and the metric terms' node
     coordinates and Jacobian die before the workers copy their node-major
     batches; the rest of the whole-mesh metric terms, the initial state
@@ -454,6 +461,7 @@ def _set_up(config: BubbleConfig, n_partitions: int, out_dir: str | None):
     """
     const = GasConstants()
     disc = build_discretization(config)
+    kernels = load(disc.ref.n_nodes)
     state0, ra = init_bubble(config, disc, const)
 
     control = TimestepControl(courant_h=config.courant_h,
@@ -470,8 +478,8 @@ def _set_up(config: BubbleConfig, n_partitions: int, out_dir: str | None):
                               disc.metrics.jw)
     del disc    # the mesh, node coordinates and Jacobian go here, so
                 # they are not held while the workers copy their batches
-    workers = [_Worker(part.part_id, layout, ref, jg, jw, const, ra, state0,
-                       config, mail, dt, n_steps, snapshot_every)
+    workers = [_Worker(part.part_id, layout, ref, kernels, jg, jw, const, ra,
+                       state0, config, mail, dt, n_steps, snapshot_every)
                for part in parts]
     theta_csv = None if out_dir is None else (numbering.node_coords, ra.theta0)
     return workers, mail, dt, n_steps, numbering.n_unique, theta_csv

@@ -12,20 +12,32 @@ Without a given perturbation pressure it evaluates the pressure per
 duplicated element node, as DG storage would; the engine evaluates it
 once per unique point under every scheme.
 
-Direction-major kernel: the engine forms the contravariant flux one
-direction at a time in a (5, M) buffer and returns its contributions in
-that buffer.  ``direction_major_contributions`` keeps the form it
-replaced: the flux along all three directions in one (3, 5, M) array,
-each spent direction's block taking the next contraction, and a fresh
-contributions array; the engine must give the same bytes.
+Numpy kernels: the engine's element kernels are compiled C loops
+(``kernels.c``).  ``numpy_contributions`` and
+``numpy_filter_contributions`` are the numpy kernels they replaced, kept
+verbatim as their byte oracles: ``element_soa`` gathers a node-major
+batch as a structure of arrays, ``contravariant_flux`` forms one
+direction's flux at a time in the (5, M) buffer of an ``RhsWorkspace``,
+and ``contract`` applies a 1D operator along z, y or x of the batch.
+Every batch is node-major, (y, z, element, x), so a y derivative is one
+matrix product D @ S over every element, a z derivative one per y slab
+and an x derivative row GEMMs against D^T, each in chunks of at most
+``GEMM_ROWS`` columns or rows: a few dozen GEMMs a stage.  The C kernels
+write every contraction as an fma chain from +0.0 in ascending l, which
+is what the BLAS's small-k GEMM computes on the host the tests were
+written on, so they give these kernels' bytes.
+``direction_major_contributions`` keeps the form before that: the flux
+along all three directions in one (3, 5, M) array, each spent
+direction's block taking the next contraction, and a fresh
+contributions array; the numpy kernel gives the same bytes.
 
 Serial operators: the engine assembles only through
 ``PartitionLayout.exchange`` (serial is its one-partition case).  The
 serial right-hand side, filter and direct stiffness summation here run
-the engine's element kernels on the whole mesh and assemble them with
-a loop over the elements in ascending id, the canonical summation order
-by definition; the partitioned runs must match them bit for bit.  The
-engine's kernels take and return node-major batches
+the numpy kernels on the whole mesh and assemble them with a loop over
+the elements in ascending id, the canonical summation order by
+definition; the partitioned runs of the compiled kernels must match
+them bit for bit.  The kernels take and return node-major batches
 (``mesh.node_major``): the helpers here hand them the whole mesh as a
 worker holds its partition and turn their contributions back to
 element-major with the same swap; every reference here stays
@@ -67,12 +79,13 @@ import dataclasses
 
 import numpy as np
 
-from sembox.dynamics import (RhsWorkspace, element_pressure, element_soa,
-                             filter_contributions, minus_weights, pressure,
+from sembox.dynamics import (DivergedStateError, element_pressure, pressure,
+                             filter_contributions as engine_filter,
                              rhs_element_contributions as engine_contributions)
+from sembox.kernels import load
 from sembox.mesh import MetricTerms, build_box_mesh, node_major
 from sembox.perf_model import SCHEME_CG, SCHEME_DG, SCHEME_LABELS
-from sembox.reference_element import contract
+from sembox.reference_element import ReferenceElement, contract
 from sembox.storage import N_VARS
 from sembox.time_integration import DEFAULT_SCHEME, RkScheme
 
@@ -165,6 +178,152 @@ def rhs_element_contributions(state_el, ra_el, metrics, ref, const,
     return div * -metrics.jw[..., None]
 
 
+# ---------------------------------------------------------------------------
+# The numpy element kernels, the compiled kernels' byte oracles
+# ---------------------------------------------------------------------------
+
+def contravariant_flux(q, p_prime, jg_a, F, U):
+    """Contravariant flux along one reference direction xi_a, into ``F``.
+
+    ``q`` is the conserved state (5, M), ``p_prime`` the perturbation
+    pressure (M,) and ``jg_a`` the metric cofactor row (3, M) of xi_a,
+    jg_a[d] = J d(xi_a)/d(x_d).  With the contravariant velocity
+    U_a = sum_d jg_a[d] u_d, the flux is F = q U_a plus jg_a[c] P' on
+    the momentum rows 1 + c.  ``F`` is (5, M); ``U`` is an (M,) scratch
+    buffer, free again on return.
+    """
+    np.multiply(jg_a[0], q[1], out=U)
+    U += jg_a[1] * q[2]
+    U += jg_a[2] * q[3]
+    U /= q[0]
+    np.multiply(U, q, out=F)
+    for c in range(3):
+        np.multiply(jg_a[c], p_prime, out=U)    # U is spent: reuse it
+        F[1 + c] += U
+    return F
+
+
+@dataclasses.dataclass
+class RhsWorkspace:
+    """Reusable structure-of-arrays buffers of the numpy right-hand-side
+    kernel for a batch of M = E n^3 element nodes, each row node-major
+    (y, z, E, x): 11 M doubles.
+
+    The kernel forms one direction's flux at a time and returns its
+    contributions in ``flux``, so a result lives only until the next
+    call on the same workspace.
+    """
+
+    U: np.ndarray        # (M,) contravariant velocity, then a scratch row
+    flux: np.ndarray     # (5, M) flux along one direction, then the result
+    div: np.ndarray      # (5, M) reference-space divergence
+
+    @classmethod
+    def create(cls, n_elements: int, n: int) -> "RhsWorkspace":
+        m = n_elements * n ** 3
+        return cls(U=np.empty(m), flux=np.empty((N_VARS, m)),
+                   div=np.empty((N_VARS, m)))
+
+
+def element_soa(cg: np.ndarray, gids: np.ndarray) -> np.ndarray:
+    """Rows of the point field ``cg`` (points, vars) at the element nodes
+    ``gids``, as a structure of arrays (vars, *gids.shape)."""
+    return np.take(cg.T, gids, axis=1)
+
+
+def minus_weights(ref: ReferenceElement, n_elements: int) -> np.ndarray:
+    """-w, the negated tensor-product quadrature weight, at every node of
+    ``n_elements`` elements, node-major (M,)."""
+    n = ref.n_nodes
+    return node_major(np.broadcast_to(-ref.weights_3d,
+                                      (n_elements, n, n, n))).ravel()
+
+
+def weight_into(contrib, values, weights) -> np.ndarray:
+    """``values`` (5, M) times ``weights`` (M,) into the contributions
+    ``contrib`` (..., 5) of the same M nodes."""
+    np.multiply(values.reshape(N_VARS, -1), weights,
+                out=contrib.reshape(-1, N_VARS).T)
+    return contrib
+
+
+def first_bad_element(arr: np.ndarray, axis: int) -> int:
+    """First element with a non-finite value; ``axis`` is the element axis."""
+    bad = ~np.isfinite(np.moveaxis(arr, axis, 0).reshape(arr.shape[axis], -1))
+    return int(np.argmax(np.any(bad, axis=1)))
+
+
+def numpy_contributions(state_cg, gids, p_prime_el, rho_bar_el, jg, jw,
+                        minus_w, ref, const, ws) -> np.ndarray:
+    """The numpy right-hand-side kernel: the arguments of
+    ``dynamics.rhs_element_contributions`` with the pressure and the
+    background density gathered to the node-major batch ``gids``
+    (``p_prime_el``, ``rho_bar_el``), and ``minus_w``
+    (:func:`minus_weights`) and a workspace ``ws`` for E elements in
+    place of the compiled kernels and the output.  Returns a
+    C-contiguous (n, n, E, n, 5) view of ``ws.flux``: valid until the
+    next call on ``ws``, which overwrites it.
+    """
+    n = ref.n_nodes
+    m = gids.size
+    q = element_soa(state_cg, gids).reshape(N_VARS, m)
+    if not np.all(np.isfinite(q)):
+        raise DivergedStateError(
+            first_bad_element(q.reshape(N_VARS, *gids.shape), axis=3))
+    p_prime = p_prime_el.reshape(m)
+    jg = jg.reshape(3, 3, m)
+    D = ref.diff_matrix
+    # one direction's flux at a time: x contracts into div as row GEMMs
+    # against D^T, y and z one variable at a time into U, free once the
+    # flux is formed, as D @ S over every element (y) or per y slab (z);
+    # each adds to div in the order x+y+z
+    F = contravariant_flux(q, p_prime, jg[0], ws.flux, ws.U)
+    contract(D, F.reshape(-1, n), ws.div, 1)
+    for a in (1, 2):
+        F = contravariant_flux(q, p_prime, jg[a], ws.flux, ws.U)
+        for v in range(N_VARS):
+            contract(D, F[v].reshape(gids.shape), ws.U, a - 1)
+            ws.div[v] += ws.U
+    # source: gravity acting on the density perturbation only
+    source = const.gravity * jw.reshape(m) * (q[0] - rho_bar_el.reshape(m))
+    del q           # the gather is freed before the contributions come
+    contrib = weight_into(ws.flux.reshape(*gids.shape, N_VARS), ws.div,
+                          minus_w)
+    contrib.reshape(m, N_VARS)[:, 3] -= source
+    if not np.all(np.isfinite(contrib)):
+        raise DivergedStateError(first_bad_element(contrib, axis=2),
+                                 "right-hand side")
+    return contrib
+
+
+def filter_element(q: np.ndarray, ref: ReferenceElement) -> np.ndarray:
+    """The modal filter along z, y and x of the node-major
+    structure-of-arrays batch ``q`` (vars, n, n, E, n), between one
+    scratch buffer and ``q``, which it overwrites; returns the filtered
+    batch."""
+    F = ref.filter_matrix
+    scratch = np.empty_like(q)
+    contract(F, q, scratch, 2)
+    contract(F, scratch, q, 1)
+    contract(F, q, scratch, 4)
+    return scratch
+
+
+def numpy_filter_contributions(state_cg, gids, jw, ref):
+    """The numpy filter kernel: J*w-weighted filtered values of the
+    element nodes at ``gids`` (n, n, E, n), node-major (n, n, E, n, 5)
+    like ``gids`` and ``jw``, in a new array; None when the filter is
+    off."""
+    if ref.filter_mu == 0.0:
+        return None
+    # the gather is spent once the third contraction has read it, so the
+    # contributions go into it: two batch arrays live, not three
+    q = element_soa(state_cg, gids)
+    filtered = filter_element(q, ref)
+    return weight_into(q.reshape(*gids.shape, N_VARS), filtered,
+                       jw.reshape(-1))
+
+
 def direction_major_contributions(state_cg, gids, p_prime_el, rho_bar_el,
                                   jg, jw, ref, const) -> np.ndarray:
     """The contravariant kernel on a direction-major (3, 5, M) flux:
@@ -228,7 +387,7 @@ def create_rhs(state_cg, disc, const, ra, scheme=SCHEME_CG) -> np.ndarray:
     """Assembled RHS (CG layout) of the whole mesh: element contributions
     over every element, then :func:`dss`.
 
-    ``cg``: the engine's element kernel, with the pressure evaluated once
+    ``cg``: the numpy element kernel, with the pressure evaluated once
     per unique point.  ``dg``: the chain-rule
     :func:`rhs_element_contributions` with the pressure evaluated per
     duplicated element node, where DG storage places it; the engine
@@ -239,7 +398,7 @@ def create_rhs(state_cg, disc, const, ra, scheme=SCHEME_CG) -> np.ndarray:
         contrib = rhs_element_contributions(state_cg[gids], ra.cg[gids],
                                             disc.metrics, disc.ref, const)
     else:
-        contrib = node_major(engine_kernel(state_cg, disc, ra, const))
+        contrib = node_major(numpy_kernel(state_cg, disc, ra, const))
     return dss(contrib, disc.numbering)
 
 
@@ -254,25 +413,48 @@ def node_major_batch(disc, elems=slice(None)):
             node_major(disc.metrics.jw[elems]))
 
 
-def engine_kernel(state_cg, disc, ra, const, ws=None):
-    """The engine's kernel on the whole mesh, as a worker calls it:
-    returns its node-major (n, n, E, n, 5) contributions, in ``ws``
-    (a fresh workspace by default)."""
+def engine_kernel(state_cg, disc, ra, const):
+    """The engine's compiled kernel on the whole mesh, as a worker calls
+    it: returns its node-major (n, n, E, n, 5) contributions in a new
+    array."""
+    gids, jg, jw = node_major_batch(disc)
+    out = np.empty((*gids.shape, N_VARS))
+    return engine_contributions(
+        state_cg, gids, element_pressure(state_cg, ra, const),
+        np.ascontiguousarray(ra.cg[:, 0]), jg, jw, disc.ref, const,
+        load(disc.ref.n_nodes), out)
+
+
+def numpy_kernel(state_cg, disc, ra, const, ws=None):
+    """The numpy kernel on the whole mesh: returns its node-major
+    (n, n, E, n, 5) contributions, in ``ws`` (a fresh workspace by
+    default)."""
     gids, jg, jw = node_major_batch(disc)
     E = disc.mesh.n_elements
     if ws is None:
         ws = RhsWorkspace.create(E, disc.ref.n_nodes)
-    return engine_contributions(
-        state_cg, gids, element_pressure(state_cg, gids, ra, const),
+    return numpy_contributions(
+        state_cg, gids, element_pressure(state_cg, ra, const)[gids],
         ra.cg[:, 0][gids], jg, jw, minus_weights(disc.ref, E), disc.ref,
         const, ws)
 
 
+def engine_filter_kernel(state_cg, disc, elems=slice(None)):
+    """The engine's compiled filter on the elements ``elems``: their
+    node-major (n, n, E, n, 5) contributions in a new array, or None
+    when the filter is off."""
+    gids, _, jw = node_major_batch(disc, elems)
+    out = np.empty((*gids.shape, N_VARS))
+    return engine_filter(state_cg, gids, jw, disc.ref,
+                         load(disc.ref.n_nodes), out)
+
+
 def apply_filter(state_cg, disc) -> np.ndarray:
-    """Filter each element, then restore continuity by :func:`dss`; the
-    state itself when the filter is off."""
+    """Filter each element with the numpy kernel, then restore
+    continuity by :func:`dss`; the state itself when the filter is
+    off."""
     gids, _, jw = node_major_batch(disc)
-    contrib = filter_contributions(state_cg, gids, jw, disc.ref)
+    contrib = numpy_filter_contributions(state_cg, gids, jw, disc.ref)
     return (state_cg if contrib is None
             else dss(node_major(contrib), disc.numbering))
 

@@ -8,10 +8,10 @@ from sembox.mesh import (build_cg_numbering, compute_metrics, node_major,
 from sembox.perf_model import SCHEME_CG, SCHEME_DG
 from sembox.storage import N_VARS, ReferenceAtmosphere
 from sembox.dynamics import (
-    Discretization, DivergedStateError, GasConstants, RhsWorkspace,
-    StateValidityError, apply_boundary, element_pressure,
-    filter_contributions, pressure,
+    Discretization, DivergedStateError, GasConstants, StateValidityError,
+    apply_boundary, element_pressure, filter_contributions, pressure,
 )
+from sembox.kernels import load
 from sembox.harness import BubbleConfig, build_discretization, init_bubble
 
 import oracles
@@ -207,7 +207,7 @@ class TestCreateRhs:
         bad_gid = disc.numbering.global_ids[3, 17]
         state[bad_gid, 1] = np.nan
         with pytest.raises(DivergedStateError) as err:
-            create_rhs(state, disc, CONST, ra)
+            oracles.engine_kernel(state, disc, ra, CONST)
         assert err.value.element == 3
 
     @pytest.mark.parametrize("where", ["state", "right-hand side"])
@@ -225,9 +225,39 @@ class TestCreateRhs:
         else:
             ra.cg[gid, 0] = np.nan
         with pytest.raises(DivergedStateError) as err:
-            create_rhs(state, disc, CONST, ra)
+            oracles.engine_kernel(state, disc, ra, CONST)
         assert err.value.element == 5
         assert str(err.value).startswith(f"diverged {where}:")
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_an_infinite_state_diverges(self, disc222, value):
+        disc, cfg = disc222
+        state, ra = init_bubble(cfg, disc, CONST)
+        state = state.copy()
+        state[disc.numbering.global_ids[6, 21], 2] = value
+        with pytest.raises(DivergedStateError) as err:
+            oracles.engine_kernel(state, disc, ra, CONST)
+        assert err.value.element == 6
+        assert str(err.value).startswith("diverged state:")
+
+    @pytest.mark.parametrize("kernel", ["engine_kernel", "numpy_kernel"])
+    def test_a_bad_state_outranks_an_earlier_bad_contribution(self, disc222,
+                                                              kernel):
+        # element 2's contribution turns non-finite (a NaN in the
+        # background density at its interior node) and element 5's state
+        # (a NaN at its interior node): the whole gather is checked before
+        # any contribution, so the state error names element 5
+        disc, cfg = disc222
+        state, ra = init_bubble(cfg, disc, CONST)
+        state = state.copy()
+        ra = ReferenceAtmosphere(ra.theta0, ra.cg.copy())
+        interior = 1 * 16 + 1 * 4 + 1
+        ra.cg[disc.numbering.global_ids[2, interior], 0] = np.nan
+        state[disc.numbering.global_ids[5, interior], 1] = np.nan
+        with pytest.raises(DivergedStateError) as err:
+            getattr(oracles, kernel)(state, disc, ra, CONST)
+        assert err.value.element == 5
+        assert str(err.value).startswith("diverged state:")
 
     def test_mass_conservation_diagnostic(self):
         cfg = BubbleConfig(nx=4, ny=4, layers=4)
@@ -267,7 +297,7 @@ class TestContravariantKernel:
         state[:, 1:4] += 0.5 * rng.standard_normal((state.shape[0], 3))
         state[:, 4] *= 1.0 + 0.01 * rng.standard_normal(state.shape[0])
         gids = disc.numbering.global_ids
-        p_el = element_pressure(state, gids, ra, CONST)
+        p_el = element_pressure(state, ra, CONST)[gids]
         got = oracles.engine_kernel(state, disc, ra, CONST)
         assert got.flags.c_contiguous
         got = node_major(got)
@@ -314,24 +344,25 @@ def perturbed_case(mapped, order, seed):
 
 
 class TestOneDirectionKernel:
-    """The one-direction node-major kernel against the element-major
-    direction-major oracle, byte for byte once turned element-major; its
-    result lives in the workspace."""
+    """The numpy kernel (the compiled kernel's byte oracle) against the
+    element-major direction-major kernel it replaced, byte for byte once
+    turned element-major; its result lives in the workspace."""
 
     @staticmethod
     def both(disc, state, ra, ws):
         gids = disc.numbering.global_ids
-        args = (state, gids, element_pressure(state, gids, ra, CONST),
+        args = (state, gids, element_pressure(state, ra, CONST)[gids],
                 ra.cg[:, 0][gids], disc.metrics.jg, disc.metrics.jw,
                 disc.ref, CONST)
-        return (oracles.engine_kernel(state, disc, ra, CONST, ws),
+        return (oracles.numpy_kernel(state, disc, ra, CONST, ws),
                 oracles.direction_major_contributions(*args))
 
     @pytest.mark.parametrize("mapped", [False, True])
     @pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 6])
     def test_equals_the_direction_major_bytes(self, mapped, order):
         disc, state, ra = perturbed_case(mapped, order, seed=order)
-        ws = RhsWorkspace.create(disc.mesh.n_elements, disc.ref.n_nodes)
+        ws = oracles.RhsWorkspace.create(disc.mesh.n_elements,
+                                         disc.ref.n_nodes)
         got, want = self.both(disc, state, ra, ws)
         assert got.flags.c_contiguous
         assert node_major(got).shape == want.shape
@@ -339,7 +370,8 @@ class TestOneDirectionKernel:
 
     def test_next_call_on_the_workspace_overwrites_the_result(self):
         disc, state, ra = perturbed_case(False, 3, seed=5)
-        ws = RhsWorkspace.create(disc.mesh.n_elements, disc.ref.n_nodes)
+        ws = oracles.RhsWorkspace.create(disc.mesh.n_elements,
+                                         disc.ref.n_nodes)
         first, want_first = self.both(disc, state, ra, ws)
         assert node_major(first).tobytes() == want_first.tobytes()
         _, other, _ = perturbed_case(False, 3, seed=6)
@@ -350,9 +382,118 @@ class TestOneDirectionKernel:
                 != want_first.tobytes())
 
 
+def byte_case(mesh, order, seed):
+    """A discretization and a state with randomised momentum, a tenth of
+    the momentum entries -0.0, and its background: the bubble on an
+    nx x ny x layers box, or a uniform background on the mapped mesh."""
+    if mesh == "mapped":
+        disc, state, ra = perturbed_case(True, order, seed)
+    else:
+        nx, ny, layers = mesh
+        cfg = BubbleConfig(nx=nx, ny=ny, layers=layers, order=order)
+        disc = build_discretization(cfg)
+        state, ra = init_bubble(cfg, disc, CONST)
+        rng = np.random.default_rng(seed)
+        state[:, 1:4] += 0.5 * rng.standard_normal((state.shape[0], 3))
+    rng = np.random.default_rng(seed + 100)
+    momentum = state[:, 1:4]
+    momentum[rng.random(momentum.shape) < 0.1] = -0.0
+    return disc, state, ra
+
+
+BYTE_MESHES = [(order, mesh) for order in range(1, 7)
+               for mesh in [(4, 4, 4), (4, 4, 8), "mapped"]] + [(3, (8, 8, 10))]
+
+
+class TestCompiledKernelBytes:
+    """The compiled kernels (``kernels.c``) against the numpy kernels
+    they replaced (``oracles.numpy_kernel``,
+    ``oracles.numpy_filter_contributions``), byte for byte.
+
+    The equality rests on the BLAS's kernel choice on the host: the C
+    code writes every contraction as an fma chain from +0.0 in ascending
+    l because that is what the small-k dgemm of the OpenBLAS build the
+    tests were written with computes.  With another BLAS, or another
+    kernel of this one, these tests can fail while the engine is sound
+    and partition invariance (the run tests) still holds; the check is
+    kept exact all the same, as every digest of the engine rests on it.
+    """
+
+    @pytest.mark.parametrize("order,mesh", BYTE_MESHES)
+    def test_rhs_equals_the_numpy_kernel_bytes(self, order, mesh):
+        disc, state, ra = byte_case(mesh, order, seed=order)
+        got = oracles.engine_kernel(state, disc, ra, CONST)
+        want = oracles.numpy_kernel(state, disc, ra, CONST)
+        assert got.flags.c_contiguous and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("order,mesh", BYTE_MESHES)
+    def test_filter_equals_the_numpy_filter_bytes(self, order, mesh):
+        disc, state, _ = byte_case(mesh, order, seed=order)
+        gids, _, jw = oracles.node_major_batch(disc)
+        got = oracles.engine_filter_kernel(state, disc)
+        want = oracles.numpy_filter_contributions(state, gids, jw, disc.ref)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_kernels_write_into_the_given_array(self):
+        disc, state, ra = byte_case((2, 2, 2), 3, seed=1)
+        gids, jg, jw = oracles.node_major_batch(disc)
+        kernels = load(disc.ref.n_nodes)
+        out = np.full((*gids.shape, N_VARS), np.nan)
+        got = oracles.engine_contributions(
+            state, gids, element_pressure(state, ra, CONST),
+            np.ascontiguousarray(ra.cg[:, 0]), jg, jw, disc.ref, CONST,
+            kernels, out)
+        assert got is out
+        assert out.tobytes() == oracles.numpy_kernel(
+            state, disc, ra, CONST).tobytes()
+        assert filter_contributions(state, gids, jw, disc.ref, kernels,
+                                    out) is out
+
+    def test_a_batch_the_kernels_cannot_read_is_refused(self):
+        disc, state, ra = byte_case((2, 2, 2), 3, seed=1)
+        gids, jg, jw = oracles.node_major_batch(disc)
+        out = np.empty((*gids.shape, N_VARS))
+        with pytest.raises(ValueError, match="nodes per direction"):
+            filter_contributions(state, gids, jw, disc.ref, load(5), out)
+        with pytest.raises(ValueError, match="point field must have shape"):
+            filter_contributions(state[:, :4].copy(), gids, jw, disc.ref,
+                                 load(4), out)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            filter_contributions(state, gids, np.asfortranarray(jw),
+                                 disc.ref, load(4), out)
+        with pytest.raises(ValueError, match="out must have shape"):
+            filter_contributions(state, gids, jw, disc.ref, load(4),
+                                 out[..., :4])
+        # the pressure and background density come per point, not per node
+        with pytest.raises(ValueError, match="p_prime must have shape"):
+            oracles.engine_contributions(
+                state, gids, element_pressure(state, ra, CONST)[gids],
+                np.ascontiguousarray(ra.cg[:, 0]), jg, jw, disc.ref, CONST,
+                load(4), out)
+
+    @pytest.mark.parametrize("index", [-1, "rows"])
+    def test_an_index_outside_the_point_field_is_refused(self, index):
+        disc, state, ra = byte_case((2, 2, 2), 3, seed=1)
+        gids, jg, jw = oracles.node_major_batch(disc)
+        bad = gids.copy()
+        bad[1, 2, 5, 3] = state.shape[0] if index == "rows" else index
+        kernels = load(disc.ref.n_nodes)
+        out = np.empty((*gids.shape, N_VARS))
+        with pytest.raises(IndexError, match="outside the point field"):
+            filter_contributions(state, bad, jw, disc.ref, kernels, out)
+        with pytest.raises(IndexError, match="outside the point field"):
+            oracles.engine_contributions(
+                state, bad, element_pressure(state, ra, CONST),
+                np.ascontiguousarray(ra.cg[:, 0]), jg, jw, disc.ref, CONST,
+                kernels, out)
+
+
 class TestNodeMajorGemms:
     def test_the_default_bubble_takes_ninety_gemms_a_call(self,
                                                           recorded_gemms):
+        # the numpy kernels (the compiled kernels' byte oracles) on
         # 8x8x10 at p = 3: x as row GEMMs over every variable, y as one
         # product per variable, z one per variable and y slab, each in
         # chunks of at most GEMM_ROWS; element-major batches took one GEMM
@@ -367,18 +508,19 @@ class TestNodeMajorGemms:
         assert want == 90
         gids, _, jw = oracles.node_major_batch(disc)
         recorded_gemms.clear()      # set-up's own contractions
-        oracles.engine_kernel(state, disc, ra, CONST)
+        oracles.numpy_kernel(state, disc, ra, CONST)
         assert len(recorded_gemms) == want
         recorded_gemms.clear()
-        filter_contributions(state, gids, jw, disc.ref)
+        oracles.numpy_filter_contributions(state, gids, jw, disc.ref)
         assert len(recorded_gemms) == want
 
 
 class TestFilterApplication:
     @pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 6])
     def test_contributions_equal_the_aos_oracle_bytes(self, order):
-        # every batch a run hands the filter: the whole mesh and each
-        # partition of a 2-way and a 3-way split; signed zeros included
+        # every batch a run hands the compiled filter: the whole mesh and
+        # each partition of a 2-way and a 3-way split; signed zeros
+        # included
         cfg = BubbleConfig(nx=4, ny=4, layers=2, order=order)
         disc = build_discretization(cfg)
         rng = np.random.default_rng(order)
@@ -389,8 +531,7 @@ class TestFilterApplication:
             slice(part.elem_start, part.elem_stop)
             for k in (2, 3) for part in partition_columns(disc.mesh, k)]
         for sl in batches:
-            gids_nm, _, jw_nm = oracles.node_major_batch(disc, sl)
-            got = filter_contributions(state, gids_nm, jw_nm, disc.ref)
+            got = oracles.engine_filter_kernel(state, disc, sl)
             want = oracles.aos_filter_contributions(state, gids[sl], jw[sl],
                                                     disc.ref)
             assert got.flags.c_contiguous
@@ -404,6 +545,7 @@ class TestFilterApplication:
         state, _ = init_bubble(cfg, disc, CONST)
         out = apply_filter(state, disc)
         assert out is state
+        assert oracles.engine_filter_kernel(state, disc) is None
 
     def test_constant_state_preserved(self, disc222):
         disc, _ = disc222

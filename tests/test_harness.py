@@ -290,9 +290,9 @@ class TestStageHooks:
             walls[id(numbering)] += 1
             return apply_boundary(state, numbering)
 
-        def counted_filter(state, gids, jw, ref):
+        def counted_filter(state, gids, *args):
             filters[id(gids)] += 1
-            return filter_contributions(state, gids, jw, ref)
+            return filter_contributions(state, gids, *args)
 
         monkeypatch.setattr(harness, "apply_boundary", counted_walls)
         monkeypatch.setattr(harness, "filter_contributions", counted_filter)

@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 
 from sembox import harness
-from sembox.dynamics import (GasConstants, RhsWorkspace, element_pressure,
-                             minus_weights, rhs_element_contributions)
+from sembox.dynamics import (GasConstants, element_pressure,
+                             rhs_element_contributions)
 from sembox.harness import (BubbleConfig, build_discretization, init_bubble,
                             run_bubble)
+from sembox.kernels import load
 from sembox.storage import N_VARS
 
 from oracles import node_major_batch
@@ -24,14 +25,18 @@ CONST = GasConstants()
 MiB = 2 ** 20
 
 # traced peak of a 2-step default-bubble run (8x8x10, p=3), set-up
-# included, by worker count: 14.60 MiB on one worker and 14.62 MiB on two
-# measured (16.33 and 17.5-17.7 MiB while the driver held the discretization
+# included, by worker count: 12.48 MiB on one worker and 13.02 MiB on two
+# measured with the compiled kernels writing into one array per worker
+# and gathering the pressure and background density themselves
+# (14.60 and 14.62 MiB with the numpy kernel's 11 M-double workspace and
+# the filter's fresh gather and scratch; 16.33 and 17.5-17.7 MiB while
+# the driver held the discretization
 # through the run and a stage's combination allocated a fresh array per
 # term; 24.14 MiB on one worker with a (3, 5, M) flux, fresh
 # contributions, every RK stage held through the step and the driver's
 # initial state held through the run); the bounds keep a 10% margin over
 # the measurements
-RUN_PEAK_MEASURED_MIB = {1: 14.60, 2: 14.62}
+RUN_PEAK_MEASURED_MIB = {1: 12.48, 2: 13.02}
 RUN_PEAK_MARGIN = 1.10
 
 
@@ -59,32 +64,30 @@ def bubble():
     return disc, state, ra
 
 
-@pytest.mark.parametrize("E,n", [(1, 2), (640, 4), (128, 6)])
-def test_workspace_holds_eleven_doubles_per_node(E, n):
-    ws = RhsWorkspace.create(E, n)
-    buffers = [ws.U, ws.flux, ws.div]
-    assert sum(b.nbytes for b in buffers) == 11 * E * n ** 3 * 8
-    assert all(b.dtype == np.float64 for b in buffers)
-    assert all(b.shape[0] != 3 for b in buffers if b.ndim > 1)
-
-
 def test_kernel_call_raises_memory_by_one_gather(bubble):
-    # after a warm-up call: the (5, M) gather, element_soa's transposed
-    # copy of the point field, and the three (E, n^3) temporaries of the
-    # gravity source (g * jw, rho - rho_bar, their product); the result
-    # lives in the workspace, so the call leaves no array behind
+    # after a warm-up call, a worker's call with its pressure argument:
+    # the pressure at the points, whose numpy evaluation holds two
+    # point arrays at once (an operand and its result), and a few
+    # hundred bytes of the quadrature weights; the compiled kernel
+    # gathers the state, the pressure and the background density into
+    # stack arrays and writes into the caller's array, so neither the
+    # (5, M) gather, a node-major pressure nor an 11 M-double workspace
+    # is allocated, and the call leaves no array behind
     disc, state, ra = bubble
     gids, jg, jw = node_major_batch(disc)
-    E, n = disc.mesh.n_elements, disc.ref.n_nodes
-    m = E * n ** 3
-    args = (state, gids, element_pressure(state, gids, ra, CONST),
-            ra.cg[:, 0][gids], jg, jw, minus_weights(disc.ref, E), disc.ref,
-            CONST, RhsWorkspace.create(E, n))
-    rhs_element_contributions(*args)
-    bound = 8 * (N_VARS * m + state.size + 3 * E * n ** 3)
-    peak, held = traced(lambda: rhs_element_contributions(*args))
-    assert peak <= bound
-    assert held < 8 * E * n ** 3
+    kernels = load(disc.ref.n_nodes)
+    out = np.empty((*gids.shape, N_VARS))
+    rho_bar = np.ascontiguousarray(ra.cg[:, 0])
+
+    def call():
+        return rhs_element_contributions(
+            state, gids, element_pressure(state, ra, CONST), rho_bar, jg,
+            jw, disc.ref, CONST, kernels, out)
+
+    call()
+    peak, held = traced(call)
+    assert peak <= 8 * 2 * state.shape[0] + 4096
+    assert held < 4096
 
 
 def run_peak(n_partitions):
